@@ -185,37 +185,41 @@ std::string warm_up(Workload& w, double& seconds) {
   return error;
 }
 
+/// The job walls of each shape (job slot, i.e. engine) of a run.
+std::vector<std::vector<double>> walls_by_slot(const std::vector<double>& walls,
+                                               std::size_t cycle) {
+  std::vector<std::vector<double>> by_slot(cycle);
+  for (std::size_t k = 0; k < walls.size(); ++k) {
+    by_slot[k % cycle].push_back(walls[k]);
+  }
+  return by_slot;
+}
+
+/// The reported job_s.p50: the mean over the shapes of each shape's
+/// median job wall. The plain median of four equally common engine
+/// shapes falls on the boundary between the second and third fastest
+/// engine, and moves with a few extreme jobs there; each shape's median
+/// uses all of that shape's jobs. On a one-shape workload it is the
+/// plain median.
+double mean_of_medians(const std::vector<std::vector<double>>& by_slot) {
+  double sum = 0.0;
+  for (const auto& xs : by_slot) sum += perfbench::median(xs);
+  return sum / static_cast<double>(by_slot.size());
+}
+
 /// Per-shape wall times, so the doc can show where the tail rung falls
 /// relative to the job shapes (engines).
-void print_shapes(const Workload& w, const std::vector<double>& walls) {
+void print_shapes(const Workload& w,
+                  const std::vector<std::vector<double>>& by_slot) {
   std::printf("job_s by shape (min / p50 / max):");
-  for (std::size_t slot = 0; slot < w.cycle(); ++slot) {
-    std::vector<double> xs;
-    for (std::size_t k = slot; k < walls.size(); k += w.cycle()) {
-      xs.push_back(walls[k]);
-    }
+  for (std::size_t slot = 0; slot < by_slot.size(); ++slot) {
+    const auto& xs = by_slot[slot];
     if (xs.empty()) continue;
     const auto [lo, hi] = std::minmax_element(xs.begin(), xs.end());
     std::printf("  %s %.4f / %.4f / %.4f", w.slot_label(slot).c_str(), *lo,
                 perfbench::median(xs), *hi);
   }
   std::printf("\n");
-}
-
-/// Mean job wall of each whole cycle of engines. Their median is the
-/// reported job_s.p50: the plain median of four equally common engine
-/// shapes falls on the boundary between the second and third fastest
-/// engine, and moves with those two extreme jobs, not with the typical
-/// job. On a one-shape workload it is the plain median.
-std::vector<double> cycle_means(const std::vector<double>& walls,
-                                std::size_t cycle) {
-  std::vector<double> means;
-  for (std::size_t k = 0; k + cycle <= walls.size(); k += cycle) {
-    double sum = 0.0;
-    for (std::size_t i = k; i < k + cycle; ++i) sum += walls[i];
-    means.push_back(sum / static_cast<double>(cycle));
-  }
-  return means;
 }
 
 int run_end_to_end(Workload& w, const Options& options) {
@@ -254,10 +258,10 @@ int run_end_to_end(Workload& w, const Options& options) {
   const auto correct_jobs =
       static_cast<double>(tally.attempted() - tally.failed());
   const perfbench::Tail tail = perfbench::tail_of(tally.walls());
+  const auto by_slot = walls_by_slot(tally.walls(), w.cycle());
   const std::vector<Metric> metrics = {
       {"jobs_per_s", correct_jobs / wall, "jobs/s"},
-      {"job_s.p50", perfbench::median(cycle_means(tally.walls(), w.cycle())),
-       "s"},
+      {"job_s.p50", mean_of_medians(by_slot), "s"},
       {"job_s.tail", tail.value, "s"},
       {"cpu_s_per_job", cpu / jobs, "s"},
       {"peak_rss_mb", perfbench::peak_rss_mb(), "MB"},
@@ -279,7 +283,7 @@ int run_end_to_end(Workload& w, const Options& options) {
               tally.failed(), tally.attempted());
   std::printf("warm-up: %zu jobs in %.4f s (untimed, not in setup_s)\n",
               w.cycle(), warmup_s);
-  print_shapes(w, tally.walls());
+  print_shapes(w, by_slot);
   host.finish();
   if (!warmup_error.empty()) {
     std::printf("warm-up failed: %s\n", warmup_error.c_str());
@@ -307,8 +311,9 @@ struct SlotRecord {
 /// Runs each job slot in untraced/traced pairs for `seconds` (whole
 /// cycles) and attributes the spans of every traced job to its slot.
 /// The serial replay runs kReplayRepetitions times spread over the run,
-/// so host drift affects it and the jobs alike; each layer's seconds are
-/// the median over the replays (counts are exact, so the first's).
+/// so host drift affects it and the jobs alike; each layer's seconds and
+/// the store write are the median over the replays (counts are exact, so
+/// the first's).
 std::vector<SlotRecord> run_pairs(Workload& w, double seconds,
                                   mdtask::trace::Tracer& tracer, Tally& tally,
                                   perfbench::Replay& replay) {
@@ -372,6 +377,9 @@ std::vector<SlotRecord> run_pairs(Workload& w, double seconds,
     }
     s = perfbench::median(xs);
   }
+  std::vector<double> writes;
+  for (const auto& r : replays) writes.push_back(r.write_s);
+  replay.write_s = perfbench::median(writes);
   return slots;
 }
 
@@ -387,8 +395,9 @@ int run_traced(Workload& w, const Options& options) {
   double warmup_s = 0.0;
   const std::string warmup_error = warm_up(w, warmup_s);
   const std::size_t cycle = w.cycle();
+  const bool uses_engines = cycle > 1;  // ingest is serial: no engine
   const double workers =
-      w.uses_engines() ? static_cast<double>(perfbench::bench_workers()) : 1.0;
+      uses_engines ? static_cast<double>(perfbench::bench_workers()) : 1.0;
   mdtask::trace::Tracer tracer;
   tracer.set_enabled(true);
   Tally tally;
@@ -398,20 +407,20 @@ int run_traced(Workload& w, const Options& options) {
 
   // Every slot makes the same layer calls, so one replay stands for
   // each job; the budget is the job's worker time (workers x wall). The
-  // job wall is the mean over the slots of each slot's median, for the
-  // reason job_s.p50 is a median of cycle means.
+  // job wall is defined as job_s.p50 is.
   const double replay_s = replay.total_s();
   std::vector<double> pair_ratios;
-  double job_s = 0.0;
+  std::vector<std::vector<double>> untraced;
   double traced_us = 0.0;
   double covered = 0.0;
   for (const auto& rec : slots) {
     pair_ratios.insert(pair_ratios.end(), rec.pair_ratios.begin(),
                        rec.pair_ratios.end());
-    job_s += perfbench::median(rec.untraced) / static_cast<double>(cycle);
+    untraced.push_back(rec.untraced);
     traced_us += rec.traced_us;
     covered += rec.covered_us;
   }
+  const double job_s = mean_of_medians(untraced);
   const double budget = workers * job_s;
   std::map<std::string, double> module_s;
   for (const auto& [name, s] : replay.seconds) {
@@ -435,7 +444,7 @@ int run_traced(Workload& w, const Options& options) {
       {"traj.share", share("traj"), "fraction"},
       {"analysis.share", share("analysis"), "fraction"},
       {"engines.overhead_share",
-       w.uses_engines() && budget > 0.0 ? 1.0 - replay_s / budget : 0.0,
+       uses_engines && budget > 0.0 ? 1.0 - replay_s / budget : 0.0,
        "fraction"},
       {"kernels.hausdorff_evals",
        lookup(replay.counts, "kernels.hausdorff_evals"), "count"},
@@ -452,8 +461,9 @@ int run_traced(Workload& w, const Options& options) {
       {"stream.read_mb_per_s", read_s > 0.0 ? read_bytes / read_s / 1e6 : 0.0,
        "MB/s"},
       {"stream.write_mb_per_s",
-       w.write_s > 0.0 ? static_cast<double>(w.raw_bytes) / w.write_s / 1e6
-                       : 0.0,
+       replay.write_s > 0.0
+           ? static_cast<double>(w.raw_bytes) / replay.write_s / 1e6
+           : 0.0,
        "MB/s"},
   };
 
@@ -463,7 +473,7 @@ int run_traced(Workload& w, const Options& options) {
   for (std::size_t e = 0; e < 4; ++e) {
     const std::string p =
         std::string("engines.") + perfbench::engine_name(w.engine(e)) + ".";
-    const SlotRecord* rec = w.uses_engines() ? &slots[e] : nullptr;
+    const SlotRecord* rec = uses_engines ? &slots[e] : nullptr;
     const mdtask::workflows::RunMetrics m =
         rec != nullptr ? rec->first.metrics : mdtask::workflows::RunMetrics{};
     const double wall = rec != nullptr ? perfbench::median(rec->untraced) : 0;
@@ -498,7 +508,8 @@ int run_traced(Workload& w, const Options& options) {
   for (const auto& [name, s] : replay.seconds) detail.push_back({name, s, "s"});
   detail.push_back({"replay_s", replay_s, "s"});
   if (replay.seconds.count("stream.write_s") == 0) {
-    detail.push_back({"stream.write_s", w.write_s, "s"});  // the set-up's
+    // The set-up's write, replayed: not part of the job.
+    detail.push_back({"stream.write_s", replay.write_s, "s"});
   }
   const double evals = lookup(replay.counts, "kernels.hausdorff_evals");
   if (evals > 0.0) {

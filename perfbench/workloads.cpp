@@ -72,12 +72,12 @@ class PsaWorkload final : public Workload {
   static constexpr std::size_t kSamples = 8;
 
   PsaWorkload(std::uint64_t seed, const std::string& dir)
-      : seed_(seed), path_(dir + "/psa.mds") {}
+      : seed_(seed), path_(dir + "/psa.mds"),
+        replay_path_(dir + "/psa-replay.mds") {}
 
   SetupTimes setup() override {
     SetupTimes times;
     traj::Ensemble ensemble;
-    traj::Trajectory all;
     timed(times.inputs_s, [&] {
       traj::ProteinTrajectoryParams params;
       params.atoms = kAtoms;
@@ -85,19 +85,15 @@ class PsaWorkload final : public Workload {
       params.seed = seed_;
       ensemble = traj::make_protein_ensemble(kTrajectories, params);
       // The store holds the trajectories concatenated frame-major.
-      all = traj::Trajectory(kTrajectories * kFrames, kAtoms);
-      auto out = all.data().begin();
+      all_ = traj::Trajectory(kTrajectories * kFrames, kAtoms);
+      auto out = all_.data().begin();
       for (const auto& t : ensemble) {
         out = std::copy(t.data().begin(), t.data().end(), out);
       }
     });
-    write_s = 0.0;
-    const auto status = timed(write_s, [&] {
-      return stream::write_sharded(path_, all,
-                                   {.frames_per_shard = kFramesPerShard});
-    });
+    const auto status =
+        timed(times.files_s, [&] { return write_store(path_); });
     if (!status.ok()) setup_error_ = error_text(status.error());
-    times.files_s = write_s;
     store_bytes(path_, stored_bytes, raw_bytes);
     if (samples_.empty()) sample_scalar_reference(ensemble);
     return times;
@@ -146,6 +142,7 @@ class PsaWorkload final : public Workload {
             mdtask::workflows::psa_effective_block_size(kTrajectories,
                                                         config))
             .value();
+    timed(replay.write_s, [&] { return write_store(replay_path_); });
     auto reader = timed(s["stream.read_s"], [&] {
       return stream::ShardReader::open(path_);
     });
@@ -186,6 +183,11 @@ class PsaWorkload final : public Workload {
   }
 
  private:
+  mdtask::Status write_store(const std::string& path) const {
+    return stream::write_sharded(path, all_,
+                                 {.frames_per_shard = kFramesPerShard});
+  }
+
   /// Seeded matrix entries recomputed by the scalar kernel (untimed).
   void sample_scalar_reference(const traj::Ensemble& ensemble) {
     std::uint64_t state = mdtask::hash_combine(seed_, 0x9a5ULL);
@@ -202,7 +204,9 @@ class PsaWorkload final : public Workload {
 
   std::uint64_t seed_;
   std::string path_;
+  std::string replay_path_;
   std::string setup_error_;
+  traj::Trajectory all_;  ///< the store's frames: trajectories concatenated
   std::vector<PsaSample> samples_;
   analysis::DistanceMatrix reference_;
 };
@@ -210,13 +214,15 @@ class PsaWorkload final : public Workload {
 // --------------------------------------------------------- leaflet_tree
 
 /// Streamed Leaflet Finder approach 4 (BallTree edge search, partial
-/// components merged by a tree reduce) on the paper's smallest system.
+/// components merged by a tree reduce) on the paper's second system.
 /// The layer mix is the opposite of psa's: tree search, graph merges
 /// and engine dispatch dominate, and no cutoff or Hausdorff kernel runs.
 class LeafletTreeWorkload final : public Workload {
  public:
   static constexpr int kApproach = 4;
-  static constexpr std::size_t kAtoms = 131072;
+  // Not the paper's smallest system (131 072 atoms): its 0.2 s jobs
+  // woke the workers so often that job walls followed hypervisor steal.
+  static constexpr std::size_t kAtoms = 262144;
   static constexpr std::size_t kPointsPerShard = 4096;
   // 15 map tasks instead of the runner's default 55. Every task dispatch
   // wakes a worker, and on a shared virtual machine each wake-up waits
@@ -225,7 +231,7 @@ class LeafletTreeWorkload final : public Workload {
   static constexpr std::size_t kTargetTasks = 16;
 
   LeafletTreeWorkload(std::uint64_t seed, const std::string& dir)
-      : path_(dir + "/bilayer.mds") {
+      : path_(dir + "/bilayer.mds"), replay_path_(dir + "/bilayer-replay.mds") {
     params_.atoms = kAtoms;
     params_.seed = seed;
     cutoff_ = traj::default_cutoff(params_);
@@ -233,17 +239,12 @@ class LeafletTreeWorkload final : public Workload {
 
   SetupTimes setup() override {
     SetupTimes times;
-    const auto bilayer =
+    bilayer_ =
         timed(times.inputs_s, [&] { return traj::make_bilayer(params_); });
-    write_s = 0.0;
-    const auto status = timed(write_s, [&] {
-      return stream::write_sharded_points(
-          path_, bilayer.positions, {.frames_per_shard = kPointsPerShard});
-    });
+    const auto status =
+        timed(times.files_s, [&] { return write_store(path_); });
     if (!status.ok()) setup_error_ = error_text(status.error());
-    times.files_s = write_s;
     store_bytes(path_, stored_bytes, raw_bytes);
-    if (truth_.empty()) truth_ = bilayer.leaflet;
     return times;
   }
 
@@ -265,7 +266,8 @@ class LeafletTreeWorkload final : public Workload {
       out.error = error_text(result.error());
     } else {
       out.metrics = result.value().metrics;
-      out.error = check_leaflet(result.value().leaflets.labels, truth_);
+      out.error =
+          check_leaflet(result.value().leaflets.labels, bilayer_.leaflet);
     }
     return out;
   }
@@ -275,6 +277,7 @@ class LeafletTreeWorkload final : public Workload {
     auto& s = replay.seconds;
     auto& c = replay.counts;
     const auto policy = kernels::default_policy();
+    timed(replay.write_s, [&] { return write_store(replay_path_); });
     auto reader = timed(s["stream.read_s"], [&] {
       return stream::ShardReader::open(path_,
                                        stream::ShardReader::Mode::kMmap);
@@ -315,11 +318,17 @@ class LeafletTreeWorkload final : public Workload {
   }
 
  private:
+  mdtask::Status write_store(const std::string& path) const {
+    return stream::write_sharded_points(
+        path, bilayer_.positions, {.frames_per_shard = kPointsPerShard});
+  }
+
   std::string path_;
+  std::string replay_path_;
   std::string setup_error_;
   traj::BilayerParams params_;
   double cutoff_ = 0.0;
-  std::vector<std::uint8_t> truth_;
+  traj::Bilayer bilayer_;  ///< positions and the ground-truth leaflets
 };
 
 // --------------------------------------------------------------- ingest
@@ -337,7 +346,6 @@ class IngestWorkload final : public Workload {
         mds_path_(dir + "/ingest.mds") {}
 
   std::size_t cycle() const override { return 1; }
-  bool uses_engines() const override { return false; }
   std::string slot_label(std::size_t) const override { return "serial"; }
 
   // The source stays in memory: every job compares against it.
@@ -378,6 +386,7 @@ class IngestWorkload final : public Workload {
       return stream::write_sharded(mds_path_, t.value(),
                                    {.frames_per_shard = kFramesPerShard});
     });
+    replay.write_s = s["stream.write_s"];
     auto reader = timed(s["stream.read_s"], [&] {
       return stream::ShardReader::open(mds_path_);
     });
@@ -392,7 +401,6 @@ class IngestWorkload final : public Workload {
             static_cast<double>(frames.value().byte_size());
       }
     }
-    write_s = s["stream.write_s"];
     store_bytes(mds_path_, stored_bytes, raw_bytes);
     return replay;
   }

@@ -25,6 +25,10 @@ struct SetupTimes {
 struct Replay {
   std::map<std::string, double> seconds;  ///< "<module>.<what>_s" -> s
   std::map<std::string, double> counts;   ///< exact counts of the calls
+  /// One write of the workload's store. On ingest the job makes it, so it
+  /// is in `seconds` too; elsewhere it is set-up work and stays out of
+  /// the job's layer times.
+  double write_s = 0.0;
   double total_s() const;
 };
 
@@ -34,8 +38,6 @@ class Workload {
 
   /// Jobs in one full cycle of engines.
   virtual std::size_t cycle() const { return 4; }
-  /// False for the single-threaded workload that runs no engine.
-  virtual bool uses_engines() const { return true; }
   /// Engine of job slot `slot`: MPI, Spark, Dask, RP in turn.
   mdtask::workflows::EngineKind engine(std::size_t slot) const;
   virtual std::string slot_label(std::size_t slot) const;
@@ -51,12 +53,10 @@ class Workload {
   virtual Replay replay() = 0;
 
   /// The workload's sharded store, for the stream metrics: stored and
-  /// raw payload bytes and the seconds its last write took. setup()
-  /// writes it, except on ingest, whose jobs write it (recorded by
-  /// replay()).
+  /// raw payload bytes. setup() writes it, except on ingest, whose jobs
+  /// write it (recorded by replay()).
   std::uint64_t stored_bytes = 0;
   std::uint64_t raw_bytes = 0;
-  double write_s = 0.0;
 };
 
 /// Short lowercase engine name used in metric names.
