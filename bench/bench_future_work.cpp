@@ -28,7 +28,7 @@
 #include "mdtask/engines/spark/spark.h"
 #include "mdtask/fault/sim_faults.h"
 #include "mdtask/perf/workloads.h"
-#include "mdtask/workflows/common.h"
+#include "mdtask/workflows/engine_session.h"
 
 using namespace mdtask;
 using namespace mdtask::perf;

@@ -3,8 +3,8 @@
 //
 // The series is the classic first MD analysis: RMSD of every frame
 // against a reference conformation, optionally after optimal (Kabsch)
-// superposition. The block kernel is the per-task unit the engines
-// schedule (workflows/rmsd_runner.h).
+// superposition. The engine-parallel series (workflows/rmsd_runner.h)
+// maps the same per-frame computation over frame blocks.
 #pragma once
 
 #include <span>

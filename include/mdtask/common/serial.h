@@ -72,20 +72,24 @@ class ByteReader {
   Result<std::vector<T>> get_vector() {
     auto n = get<std::uint64_t>();
     if (!n.ok()) return n.error();
-    const std::size_t bytes = static_cast<std::size_t>(n.value()) * sizeof(T);
-    if (pos_ + bytes > data_.size()) {
+    // Compared by division so a crafted count cannot wrap n * sizeof(T).
+    if (n.value() > remaining() / sizeof(T)) {
       return Error(ErrorCode::kFormatError, "ByteReader: truncated vector");
     }
-    std::vector<T> out(static_cast<std::size_t>(n.value()));
-    std::memcpy(out.data(), data_.data() + pos_, bytes);
-    pos_ += bytes;
+    const auto count = static_cast<std::size_t>(n.value());
+    std::vector<T> out(count);
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (count > 0) {
+      std::memcpy(out.data(), data_.data() + pos_, count * sizeof(T));
+    }
+    pos_ += count * sizeof(T);
     return out;
   }
 
   Result<std::string> get_string() {
     auto n = get<std::uint64_t>();
     if (!n.ok()) return n.error();
-    if (pos_ + n.value() > data_.size()) {
+    if (n.value() > remaining()) {
       return Error(ErrorCode::kFormatError, "ByteReader: truncated string");
     }
     std::string out(reinterpret_cast<const char*>(data_.data() + pos_),

@@ -105,7 +105,10 @@ class Communicator {
     static_assert(std::is_trivially_copyable_v<T>);
     const auto bytes = recv_bytes(source, tag);
     std::vector<T> out(bytes.size() / sizeof(T));
-    std::memcpy(out.data(), bytes.data(), out.size() * sizeof(T));
+    // An empty vector's data() may be null, which memcpy must not get.
+    if (!out.empty()) {
+      std::memcpy(out.data(), bytes.data(), out.size() * sizeof(T));
+    }
     return out;
   }
 

@@ -32,21 +32,16 @@
 #include <cstdint>
 #include <vector>
 
-#include "mdtask/fault/fault.h"
-#include "mdtask/fault/membership.h"
-#include "mdtask/fault/recovery.h"
 #include "mdtask/repex/model.h"
-#include "mdtask/trace/tracer.h"
 #include "mdtask/workflows/common.h"
 
 namespace mdtask::repex {
 
 /// One RepEx run: the science parameters plus the engine/infrastructure
-/// knobs every workflow runner carries (tracing, faults, elasticity,
-/// closed-loop autoscaling).
-struct RepexConfig {
+/// knobs every workflow runner carries (workflows::EngineRunConfig:
+/// workers, tracing, faults, elasticity, closed-loop autoscaling).
+struct RepexConfig : workflows::EngineRunConfig {
   RepexParams params;
-  std::size_t workers = 4;
   /// Spark only: cache() the static replica-state RDD across rounds.
   /// Off, every round's action recomputes the expensive base
   /// observables through the lineage — the measured cost of losing
@@ -55,11 +50,6 @@ struct RepexConfig {
   /// RP only: modelled MongoDB roundtrip latency charged per unit-state
   /// transition (the paper's DB-mediated dispatch cost).
   double db_roundtrip_latency_s = 0.0;
-  trace::Tracer* tracer = nullptr;                       ///< not owned
-  const fault::FaultPlan* fault_plan = nullptr;          ///< not owned
-  fault::RecoveryLog* recovery_log = nullptr;            ///< not owned
-  const fault::MembershipPlan* membership_plan = nullptr;  ///< not owned
-  workflows::AdaptiveConfig adaptive;
 };
 
 /// What one run produced. The decision-stream fields (rounds, counts,

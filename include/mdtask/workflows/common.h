@@ -1,19 +1,15 @@
 // Shared vocabulary for the engine-parallel application drivers.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 
-#include "mdtask/autoscale/adapters.h"
-#include "mdtask/autoscale/controller.h"
+#include "mdtask/autoscale/policy.h"
+#include "mdtask/fault/fault.h"
 #include "mdtask/fault/membership.h"
+#include "mdtask/fault/recovery.h"
 #include "mdtask/stream/shard_reader.h"
+#include "mdtask/trace/tracer.h"
 
 namespace mdtask::workflows {
 
@@ -50,30 +46,6 @@ struct RunMetrics {
   double wall_seconds = 0.0;
 };
 
-/// Applies a seeded MembershipPlan to a live engine while a workflow
-/// runs: a background thread sleeps to each event's at_s (wall seconds
-/// from construction) and invokes `apply` with it. Scoped — the
-/// destructor cancels unfired events and joins, so drivers keep one on
-/// the stack for exactly the duration of the engine run (declare it
-/// after the engine object so it is destroyed first).
-class ElasticDriver {
- public:
-  using Apply = std::function<void(const fault::MembershipEvent&)>;
-
-  /// Starts the schedule. A null/empty plan or null callback is inert.
-  ElasticDriver(const fault::MembershipPlan* plan, Apply apply);
-  ~ElasticDriver();
-
-  ElasticDriver(const ElasticDriver&) = delete;
-  ElasticDriver& operator=(const ElasticDriver&) = delete;
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
-
 /// Knobs for closed-loop elasticity on a live engine run — the
 /// policy-driven alternative to a fixed MembershipPlan schedule.
 struct AdaptiveConfig {
@@ -88,43 +60,38 @@ struct AdaptiveConfig {
   std::size_t metrics_capacity = 1024;
 };
 
-/// Runs an AutoscaleController against a live engine while a workflow
-/// runs: a background thread ticks every `tick_interval_s`, observing
-/// the engine through the adapter and acting through its callbacks.
-/// Scoped like ElasticDriver — the destructor stops the ticker and
-/// joins, so drivers keep one on the stack for exactly the duration of
-/// the engine run (declare it after the engine object so it is
-/// destroyed first). A disabled config is inert.
-class AdaptiveDriver {
- public:
-  /// `window` is the same MetricsWindow handed to the engine's config
-  /// (completed-task durations) and must outlive the driver; `log`
-  /// (optional) receives AutoscaleRecords.
-  AdaptiveDriver(const AdaptiveConfig& config,
-                 autoscale::EngineAdapter adapter,
-                 autoscale::MetricsWindow* window,
-                 fault::RecoveryLog* log = nullptr);
-  ~AdaptiveDriver();
-
-  AdaptiveDriver(const AdaptiveDriver&) = delete;
-  AdaptiveDriver& operator=(const AdaptiveDriver&) = delete;
-
-  /// Control ticks evaluated so far.
-  std::uint64_t ticks() const noexcept {
-    return ticks_.load(std::memory_order_relaxed);
-  }
-
- private:
-  autoscale::TargetUtilizationPolicy utilization_policy_;
-  autoscale::StragglerSpeculationPolicy speculation_policy_;
-  std::function<void(autoscale::MetricsWindow&)> observe_;
-  autoscale::MetricsWindow* window_ = nullptr;
-  std::unique_ptr<autoscale::AutoscaleController> controller_;
-  std::atomic<std::uint64_t> ticks_{0};
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
+/// The engine and infrastructure knobs every engine-parallel workflow
+/// carries: PsaRunConfig, LfRunConfig and repex::RepexConfig inherit
+/// them, and an EngineSession (engine_session.h) turns them into the
+/// live engine, its tracing and its elasticity drivers.
+struct EngineRunConfig {
+  /// Cores: MPI ranks, Spark executor threads, Dask workers, RP pilot
+  /// slots.
+  std::size_t workers = 4;
+  /// When set, the run registers engine/worker tracks on this tracer and
+  /// emits spans for the engine's stages, tasks, collectives and staging
+  /// phases (export with trace::write_chrome_trace). Not owned.
+  trace::Tracer* tracer = nullptr;
+  /// Optional failure model (mdtask/fault). When set and non-empty, the
+  /// engine injects the plan's faults into its tasks and recovers with
+  /// its native policy (Spark lineage re-execution, Dask worker restart,
+  /// RP retry+backoff, MPI checkpoint-abort-restart). Not owned.
+  const fault::FaultPlan* fault_plan = nullptr;
+  /// Optional sink for every fault/recovery/elasticity decision the run
+  /// makes. Not owned.
+  fault::RecoveryLog* recovery_log = nullptr;
+  /// Optional membership schedule (mdtask/fault/membership.h): an
+  /// ElasticDriver applies its join/leave events to the live engine
+  /// while the run executes. MPI ignores it — the rigid baseline cannot
+  /// resize; use the DES layer (simulate_task_wave) to model its
+  /// shrink-restart cost. Not owned.
+  const fault::MembershipPlan* membership_plan = nullptr;
+  /// Closed-loop elasticity (mdtask/autoscale): when enabled, an
+  /// AdaptiveDriver observes the live engine and resizes / speculates
+  /// by policy instead of a fixed schedule. Composes with
+  /// membership_plan (the plan plays churn, the controller reacts). On
+  /// MPI the controller only records rigid vetoes.
+  AdaptiveConfig adaptive;
 };
 
 }  // namespace mdtask::workflows

@@ -5,8 +5,11 @@
 // run_frame_series maps an arbitrary observable over the trajectory's
 // frames in parallel (frame blocks are the tasks) and returns the time
 // series; callers reduce the series however they like (the cross-frame
-// step is cheap once the per-frame map has run in parallel). The RMSD
-// runner (rmsd_runner.h) is a thin wrapper over this API.
+// step is cheap once the per-frame map has run in parallel). This is
+// the one frame-block map: the RMSD runner (rmsd_runner.h) calls it with
+// a per-frame RMSD observable. Engine set-up comes from EngineSession
+// (engine_session.h) with `workers` only — no tracing, faults or
+// elasticity.
 #pragma once
 
 #include <functional>

@@ -20,15 +20,11 @@
 
 #include "mdtask/analysis/leaflet.h"
 #include "mdtask/common/error.h"
-#include "mdtask/fault/fault.h"
-#include "mdtask/fault/recovery.h"
-#include "mdtask/trace/tracer.h"
 #include "mdtask/workflows/common.h"
 
 namespace mdtask::workflows {
 
-struct LfRunConfig {
-  std::size_t workers = 4;
+struct LfRunConfig : EngineRunConfig {
   /// Map-task count target (the paper uses 1024; 42k for 4M + approach 3).
   std::size_t target_tasks = 64;
   /// Simulated per-task transient memory limit in bytes (0 = unlimited).
@@ -43,26 +39,6 @@ struct LfRunConfig {
   /// vectorized stream the cutoff kernel. The default honours
   /// MDTASK_KERNEL_POLICY.
   kernels::KernelPolicy kernel_policy = kernels::default_policy();
-  /// When set, the run registers engine/worker tracks on this tracer and
-  /// emits spans for stages, tasks, collectives and staging phases
-  /// (export with trace::write_chrome_trace).
-  trace::Tracer* tracer = nullptr;
-  /// Optional failure model (mdtask/fault). When set and non-empty, the
-  /// chosen engine injects the plan's faults into its tasks and recovers
-  /// with its native policy (Spark lineage re-execution, Dask worker
-  /// restart, RP retry+backoff, MPI checkpoint-abort-restart).
-  const fault::FaultPlan* fault_plan = nullptr;
-  /// Optional sink for every fault/recovery decision the run makes.
-  fault::RecoveryLog* recovery_log = nullptr;
-  /// Optional membership schedule (mdtask/fault/membership.h): applied
-  /// to the live engine by an ElasticDriver while the run executes.
-  /// MPI ignores it — the rigid baseline cannot resize.
-  const fault::MembershipPlan* membership_plan = nullptr;
-  /// Closed-loop elasticity (mdtask/autoscale): when enabled, an
-  /// AdaptiveDriver observes the live engine and resizes / speculates
-  /// by policy instead of a fixed schedule. Composes with
-  /// membership_plan. On MPI the controller only records rigid vetoes.
-  AdaptiveConfig adaptive;
 };
 
 struct LfRunResult {

@@ -1,9 +1,10 @@
 // Engine-parallel RMSD time series.
 //
-// The third of the paper's named MD analyses (Sec. 2). A map-only job:
-// the reference conformation is broadcast, frame blocks are the tasks,
-// results concatenate into the series. Runs on every engine; identical
-// output asserted by tests.
+// The third of the paper's named MD analyses (Sec. 2). A map-only job
+// over frame blocks: run_rmsd_series is run_frame_series
+// (frame_series.h) with the per-frame RMSD against the reference frame
+// (frame_rmsd, or kabsch_rmsd when superposing) as the observable, so
+// every engine's series is bit-identical to analysis::rmsd_series.
 #pragma once
 
 #include "mdtask/analysis/rmsd_series.h"

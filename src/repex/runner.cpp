@@ -8,10 +8,7 @@
 
 #include "mdtask/common/serial.h"
 #include "mdtask/common/timer.h"
-#include "mdtask/engines/dask/dask.h"
-#include "mdtask/engines/mpi/runtime.h"
-#include "mdtask/engines/rp/pilot.h"
-#include "mdtask/engines/spark/spark.h"
+#include "mdtask/workflows/engine_session.h"
 
 namespace mdtask::repex {
 namespace {
@@ -32,8 +29,7 @@ struct Driver {
     configs.resize(c.params.replicas);
     std::iota(configs.begin(), configs.end(), std::size_t{0});
     if (config.tracer != nullptr) {
-      const std::uint32_t pid = config.tracer->process("workflow");
-      track = config.tracer->named_thread(pid, "driver");
+      track = workflows::EngineSession::driver_track(*config.tracer);
     }
   }
 
@@ -119,27 +115,10 @@ struct PairAcc {
   int n = 0;
 };
 
-RepexResult run_repex_spark(const RepexConfig& config) {
+RepexResult run_repex_spark(workflows::EngineSession& session,
+                            const RepexConfig& config) {
   const RepexParams p = config.params;
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  spark::SparkContext sc(spark::SparkConfig{
-      .executor_threads = config.workers,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) sc.enable_tracing(*config.tracer);
-  workflows::ElasticDriver elastic(
-      config.membership_plan,
-      [&sc, plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          sc.add_executors(ev.count);
-        } else {
-          sc.decommission_executors(ev.count, plan->departure);
-        }
-      });
-  workflows::AdaptiveDriver adaptive(config.adaptive,
-                                     autoscale::spark_adapter(sc), &window,
-                                     config.recovery_log);
+  spark::SparkContext& sc = session.spark();
   Driver driver(config);
   WallTimer timer;
 
@@ -223,38 +202,16 @@ RepexResult run_repex_spark(const RepexConfig& config) {
   }
 
   auto result = driver.take();
-  result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = sc.metrics().tasks_executed.load();
-  result.metrics.stages = sc.metrics().stages_executed.load();
-  result.metrics.shuffle_bytes = sc.metrics().shuffle_bytes.load();
-  result.metrics.broadcast_bytes = sc.metrics().broadcast_bytes.load();
+  result.metrics = session.metrics(timer.seconds());
   return result;
 }
 
 // ---- Dask: persistent bases + per-round dynamic graph ----
 
-RepexResult run_repex_dask(const RepexConfig& config) {
+RepexResult run_repex_dask(workflows::EngineSession& session,
+                           const RepexConfig& config) {
   const RepexParams p = config.params;
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  dask::DaskClient client(dask::DaskConfig{
-      .workers = config.workers,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) client.enable_tracing(*config.tracer);
-  workflows::ElasticDriver elastic(
-      config.membership_plan,
-      [&client,
-       plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          client.add_workers(ev.count);
-        } else {
-          client.retire_workers(ev.count, plan->departure);
-        }
-      });
-  workflows::AdaptiveDriver adaptive(config.adaptive,
-                                     autoscale::dask_adapter(client),
-                                     &window, config.recovery_log);
+  dask::DaskClient& client = session.dask();
   Driver driver(config);
   WallTimer timer;
 
@@ -320,25 +277,15 @@ RepexResult run_repex_dask(const RepexConfig& config) {
   }
 
   auto result = driver.take();
-  result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = client.metrics().tasks_executed.load();
+  result.metrics = session.metrics(timer.seconds());
   return result;
 }
 
 // ---- MPI: rank-local state, sendrecv/allreduce exchange rounds ----
 
-RepexResult run_repex_mpi(const RepexConfig& config) {
+RepexResult run_repex_mpi(workflows::EngineSession& session,
+                          const RepexConfig& config) {
   const RepexParams p = config.params;
-  // At most one rank per replica: configuration c lives on rank
-  // c % size for the whole run (real RepEx migrates the temperature,
-  // not the configuration data).
-  const int ranks = static_cast<int>(std::clamp<std::size_t>(
-      config.workers, 1, std::max<std::size_t>(1, p.replicas)));
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  workflows::AdaptiveDriver adaptive(
-      config.adaptive,
-      autoscale::mpi_adapter(static_cast<std::size_t>(ranks)), &window,
-      config.recovery_log);
   Driver driver(config);
   WallTimer timer;
 
@@ -474,49 +421,20 @@ RepexResult run_repex_mpi(const RepexConfig& config) {
     }
   };
 
-  mpi::SpmdReport report;
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    report = mpi::run_spmd_with_recovery(ranks, body, *config.fault_plan,
-                                         config.recovery_log,
-                                         mpi::BcastAlgorithm::kBinomialTree,
-                                         config.tracer);
-  } else {
-    fault::CheckpointStore store;
-    report = mpi::run_spmd(
-        ranks, [&](mpi::Communicator& comm) { body(comm, store); },
-        mpi::BcastAlgorithm::kBinomialTree, config.tracer);
-  }
+  session.spmd(body);
 
   auto result = driver.take();
-  result.metrics.wall_seconds = timer.seconds();
+  result.metrics = session.metrics(timer.seconds());
   result.metrics.tasks = p.replicas * result.rounds;
-  result.metrics.shuffle_bytes = report.total.bytes_sent;
   return result;
 }
 
 // ---- RP: DB-mediated dispatch, bases staged through the filesystem ----
 
-RepexResult run_repex_rp(const RepexConfig& config) {
+RepexResult run_repex_rp(workflows::EngineSession& session,
+                         const RepexConfig& config) {
   const RepexParams p = config.params;
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  rp::UnitManager um(rp::PilotDescription{
-      .cores = config.workers,
-      .db_roundtrip_latency_s = config.db_roundtrip_latency_s,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) um.enable_tracing(*config.tracer);
-  workflows::ElasticDriver elastic(
-      config.membership_plan, [&um](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          um.grow_pilot(ev.count);
-        } else {
-          um.shrink_pilot(ev.count);
-        }
-      });
-  workflows::AdaptiveDriver adaptive(config.adaptive,
-                                     autoscale::rp_adapter(um), &window,
-                                     config.recovery_log);
+  rp::UnitManager& um = session.rp();
   Driver driver(config);
   WallTimer timer;
 
@@ -615,34 +533,34 @@ RepexResult run_repex_rp(const RepexConfig& config) {
   }
 
   auto result = driver.take();
-  result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = um.metrics().tasks_executed.load();
-  result.metrics.staged_bytes = um.metrics().staged_bytes.load();
-  result.metrics.db_roundtrips = um.metrics().db_roundtrips.load();
+  result.metrics = session.metrics(timer.seconds());
   return result;
 }
 
 }  // namespace
 
 RepexResult run_repex(EngineKind engine, const RepexConfig& config) {
-  trace::Span run_span;
-  if (config.tracer != nullptr) {
-    const std::uint32_t pid = config.tracer->process("workflow");
-    run_span = config.tracer->span(
-        config.tracer->named_thread(pid, "driver"),
-        std::string("repex/") + workflows::to_string(engine), "workflow");
-    run_span.arg_num("replicas",
-                     static_cast<double>(config.params.replicas));
-    run_span.arg_num("max_rounds",
-                     static_cast<double>(config.params.max_rounds));
-  }
+  trace::Span run_span = workflows::EngineSession::run_span(
+      config.tracer, std::string("repex/") + workflows::to_string(engine));
+  run_span.arg_num("replicas", static_cast<double>(config.params.replicas));
+  run_span.arg_num("max_rounds",
+                   static_cast<double>(config.params.max_rounds));
+  // At most one MPI rank per replica: configuration c lives on rank
+  // c % size for the whole run (real RepEx migrates the temperature,
+  // not the configuration data).
+  const std::size_t max_ranks =
+      std::max<std::size_t>(1, config.params.replicas);
+  workflows::EngineSession session(
+      engine, config,
+      {.db_roundtrip_latency_s = config.db_roundtrip_latency_s,
+       .mpi_ranks = std::clamp<std::size_t>(config.workers, 1, max_ranks)});
   switch (engine) {
-    case EngineKind::kMpi: return run_repex_mpi(config);
-    case EngineKind::kSpark: return run_repex_spark(config);
-    case EngineKind::kDask: return run_repex_dask(config);
-    case EngineKind::kRp: return run_repex_rp(config);
+    case EngineKind::kMpi: return run_repex_mpi(session, config);
+    case EngineKind::kSpark: return run_repex_spark(session, config);
+    case EngineKind::kDask: return run_repex_dask(session, config);
+    case EngineKind::kRp: return run_repex_rp(session, config);
   }
-  return run_repex_mpi(config);
+  return run_repex_mpi(session, config);
 }
 
 }  // namespace mdtask::repex

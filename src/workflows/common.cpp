@@ -1,90 +1,6 @@
 #include "mdtask/workflows/common.h"
 
-#include <algorithm>
-#include <chrono>
-#include <utility>
-#include <vector>
-
 namespace mdtask::workflows {
-
-ElasticDriver::ElasticDriver(const fault::MembershipPlan* plan,
-                             Apply apply) {
-  if (plan == nullptr || plan->empty() || !apply) return;
-  std::vector<fault::MembershipEvent> schedule = plan->schedule;
-  std::stable_sort(schedule.begin(), schedule.end(),
-                   [](const fault::MembershipEvent& a,
-                      const fault::MembershipEvent& b) {
-                     return a.at_s < b.at_s;
-                   });
-  thread_ = std::thread([this, schedule = std::move(schedule),
-                         apply = std::move(apply)] {
-    const auto start = std::chrono::steady_clock::now();
-    for (const auto& ev : schedule) {
-      {
-        std::unique_lock lk(mu_);
-        const auto due =
-            start + std::chrono::duration_cast<
-                        std::chrono::steady_clock::duration>(
-                        std::chrono::duration<double>(ev.at_s));
-        if (cv_.wait_until(lk, due, [this] { return stop_; })) return;
-      }
-      apply(ev);
-    }
-  });
-}
-
-ElasticDriver::~ElasticDriver() {
-  {
-    std::lock_guard lk(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-AdaptiveDriver::AdaptiveDriver(const AdaptiveConfig& config,
-                               autoscale::EngineAdapter adapter,
-                               autoscale::MetricsWindow* window,
-                               fault::RecoveryLog* log)
-    : utilization_policy_(config.utilization),
-      speculation_policy_(config.speculation),
-      observe_(std::move(adapter.observe)),
-      window_(window) {
-  if (!config.enabled || window_ == nullptr) return;
-  std::vector<autoscale::Policy*> policies;
-  if (config.scaling_enabled) policies.push_back(&utilization_policy_);
-  if (config.speculation_enabled) policies.push_back(&speculation_policy_);
-  controller_ = std::make_unique<autoscale::AutoscaleController>(
-      std::move(adapter.actions), std::move(policies), window_, log);
-  const double tick_s = std::max(config.tick_interval_s, 1e-4);
-  thread_ = std::thread([this, tick_s] {
-    const auto start = std::chrono::steady_clock::now();
-    for (;;) {
-      {
-        std::unique_lock lk(mu_);
-        cv_.wait_for(lk, std::chrono::duration<double>(tick_s),
-                     [this] { return stop_; });
-        if (stop_) return;
-      }
-      if (observe_) observe_(*window_);
-      const double now_s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                        start)
-              .count();
-      controller_->tick(now_s);
-      ticks_.fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-}
-
-AdaptiveDriver::~AdaptiveDriver() {
-  {
-    std::lock_guard lk(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
 
 const char* to_string(EngineKind kind) noexcept {
   switch (kind) {

@@ -4,10 +4,7 @@
 
 #include "mdtask/common/serial.h"
 #include "mdtask/common/timer.h"
-#include "mdtask/engines/dask/dask.h"
-#include "mdtask/engines/mpi/runtime.h"
-#include "mdtask/engines/rp/pilot.h"
-#include "mdtask/engines/spark/spark.h"
+#include "mdtask/workflows/engine_session.h"
 
 namespace mdtask::workflows {
 namespace {
@@ -64,53 +61,43 @@ FrameSeriesResult run_frame_series(EngineKind engine,
   if (trajectory.frames() == 0) return result;
   const auto blocks = plan(trajectory.frames(), config);
   WallTimer timer;
+  EngineSession session(engine, {.workers = config.workers});
 
   switch (engine) {
     case EngineKind::kMpi: {
-      mpi::run_spmd(
-          static_cast<int>(std::max<std::size_t>(1, config.workers)),
-          [&](mpi::Communicator& comm) {
-            std::vector<double> mine;
-            std::vector<std::uint64_t> offsets;
-            for (std::size_t b = static_cast<std::size_t>(comm.rank());
-                 b < blocks.size();
-                 b += static_cast<std::size_t>(comm.size())) {
-              auto block = evaluate(trajectory, observable, blocks[b]);
-              offsets.push_back(block.begin);
-              offsets.push_back(block.values.size());
-              mine.insert(mine.end(), block.values.begin(),
-                          block.values.end());
-            }
-            auto all_offsets = comm.gather<std::uint64_t>(offsets, 0);
-            auto all_values = comm.gather<double>(mine, 0);
-            if (comm.rank() == 0) {
-              for (std::size_t r = 0; r < all_offsets.size(); ++r) {
-                std::size_t cursor = 0;
-                for (std::size_t k = 0; k + 1 < all_offsets[r].size();
-                     k += 2) {
-                  BlockValues block;
-                  block.begin =
-                      static_cast<std::size_t>(all_offsets[r][k]);
-                  const auto count =
-                      static_cast<std::size_t>(all_offsets[r][k + 1]);
-                  block.values.assign(
-                      all_values[r].begin() +
-                          static_cast<std::ptrdiff_t>(cursor),
-                      all_values[r].begin() +
-                          static_cast<std::ptrdiff_t>(cursor + count));
-                  cursor += count;
-                  place(result.series, block);
-                }
-              }
-            }
-          });
+      session.spmd([&](mpi::Communicator& comm, fault::CheckpointStore&) {
+        std::vector<double> mine;
+        std::vector<std::uint64_t> offsets;
+        for (std::size_t b = static_cast<std::size_t>(comm.rank());
+             b < blocks.size(); b += static_cast<std::size_t>(comm.size())) {
+          auto block = evaluate(trajectory, observable, blocks[b]);
+          offsets.push_back(block.begin);
+          offsets.push_back(block.values.size());
+          mine.insert(mine.end(), block.values.begin(), block.values.end());
+        }
+        auto all_offsets = comm.gather<std::uint64_t>(offsets, 0);
+        auto all_values = comm.gather<double>(mine, 0);
+        if (comm.rank() != 0) return;
+        for (std::size_t r = 0; r < all_offsets.size(); ++r) {
+          std::size_t cursor = 0;
+          for (std::size_t k = 0; k + 1 < all_offsets[r].size(); k += 2) {
+            const auto begin = static_cast<std::size_t>(all_offsets[r][k]);
+            const auto count =
+                static_cast<std::size_t>(all_offsets[r][k + 1]);
+            std::copy_n(
+                all_values[r].begin() + static_cast<std::ptrdiff_t>(cursor),
+                count,
+                result.series.begin() + static_cast<std::ptrdiff_t>(begin));
+            cursor += count;
+          }
+        }
+      });
       break;
     }
     case EngineKind::kSpark: {
-      spark::SparkContext sc(
-          spark::SparkConfig{.executor_threads = config.workers});
       auto computed =
-          sc.parallelize(blocks, blocks.size())
+          session.spark()
+              .parallelize(blocks, blocks.size())
               .map_partitions([&trajectory, &observable](
                                   spark::TaskContext&,
                                   std::vector<FrameBlock>& mine) {
@@ -125,18 +112,19 @@ FrameSeriesResult run_frame_series(EngineKind engine,
       break;
     }
     case EngineKind::kDask: {
-      dask::DaskClient client(dask::DaskConfig{.workers = config.workers});
       std::vector<dask::Future<BlockValues>> futures;
+      futures.reserve(blocks.size());
       for (const auto& block : blocks) {
-        futures.push_back(client.submit([&trajectory, &observable, block] {
-          return evaluate(trajectory, observable, block);
-        }));
+        futures.push_back(
+            session.dask().submit([&trajectory, &observable, block] {
+              return evaluate(trajectory, observable, block);
+            }));
       }
       for (const auto& f : futures) place(result.series, f.get());
       break;
     }
     case EngineKind::kRp: {
-      rp::UnitManager um(rp::PilotDescription{.cores = config.workers});
+      rp::UnitManager& um = session.rp();
       std::vector<rp::ComputeUnitDescription> descriptions;
       for (std::size_t b = 0; b < blocks.size(); ++b) {
         const std::string path =
@@ -170,12 +158,11 @@ FrameSeriesResult run_frame_series(EngineKind engine,
           place(result.series, block);
         }
       }
-      result.metrics.db_roundtrips = um.metrics().db_roundtrips.load();
       break;
     }
   }
+  result.metrics = session.metrics(timer.seconds());
   result.metrics.tasks = blocks.size();
-  result.metrics.wall_seconds = timer.seconds();
   return result;
 }
 

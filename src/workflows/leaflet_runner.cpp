@@ -7,11 +7,8 @@
 #include "mdtask/analysis/balltree.h"
 #include "mdtask/common/serial.h"
 #include "mdtask/common/timer.h"
-#include "mdtask/engines/dask/dask.h"
-#include "mdtask/engines/mpi/runtime.h"
-#include "mdtask/engines/rp/pilot.h"
-#include "mdtask/engines/spark/spark.h"
 #include "mdtask/stream/shard_reader.h"
+#include "mdtask/workflows/engine_session.h"
 
 namespace mdtask::workflows {
 namespace {
@@ -154,7 +151,8 @@ std::vector<Edge> run_discovery(int approach, std::span<const Vec3> view,
 
 // ---------------------------------------------------------------- MPI --
 
-Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
+Result<LfRunResult> run_mpi(EngineSession& session, int approach,
+                            std::span<const Vec3> atoms,
                             std::size_t n_atoms, double cutoff,
                             const LfRunConfig& config,
                             LfStreamState* stream) {
@@ -166,7 +164,7 @@ Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
   std::vector<PartialComponents> root_parts;
   double distribute_seconds = 0.0;
 
-  auto body = [&](mpi::Communicator& comm) {
+  auto body = [&](mpi::Communicator& comm, fault::CheckpointStore&) {
         // Approach 1 really broadcasts the positions through the MPI
         // runtime (Fig. 8 measures this phase); other approaches assume
         // pre-partitioned data on the shared filesystem.
@@ -223,36 +221,16 @@ Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
           }
         }
   };
-  const int ranks = static_cast<int>(std::max<std::size_t>(1, config.workers));
-  // Rigid world: the controller can only record vetoed resize
-  // decisions, reproducing the paper's inelastic-MPI baseline.
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  AdaptiveDriver adaptive(config.adaptive,
-                          autoscale::mpi_adapter(
-                              static_cast<std::size_t>(ranks)),
-                          &window, config.recovery_log);
-  mpi::SpmdReport report;
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    // Faulty attempts abort before the body's first collective, so the
-    // rank-0 accumulators above are only ever filled by the one attempt
-    // that runs to completion.
-    try {
-      report = mpi::run_spmd_with_recovery(
-          ranks,
-          [&](mpi::Communicator& comm, fault::CheckpointStore&) {
-            body(comm);
-          },
-          *config.fault_plan, config.recovery_log,
-          mpi::BcastAlgorithm::kBinomialTree, config.tracer);
-    } catch (const fault::InjectedFault& f) {
-      return Error(ErrorCode::kUnavailable,
-                   std::string("MPI leaflet finder: ") + f.what())
-          .with_task({"mpi", f.task_id(), f.attempt(),
-                      std::string(fault::to_string(f.kind()))});
-    }
-  } else {
-    report = mpi::run_spmd(ranks, body, mpi::BcastAlgorithm::kBinomialTree,
-                           config.tracer);
+  // Faulty attempts abort before the body's first collective, so the
+  // rank-0 accumulators above are only ever filled by the one attempt
+  // that runs to completion.
+  try {
+    session.spmd(body);
+  } catch (const fault::InjectedFault& f) {
+    return Error(ErrorCode::kUnavailable,
+                 std::string("MPI leaflet finder: ") + f.what())
+        .with_task({"mpi", f.task_id(), f.attempt(),
+                    std::string(fault::to_string(f.kind()))});
   }
 
   if (memory_failed.load()) {
@@ -263,39 +241,21 @@ Result<LfRunResult> run_mpi(int approach, std::span<const Vec3> atoms,
   result = uses_partial_components(approach)
                ? finish_from_partials(n_atoms, root_parts)
                : finish_from_edges(n_atoms, std::move(root_edges));
-  result.metrics.wall_seconds = timer.seconds();
+  result.metrics = session.metrics(timer.seconds());
   result.metrics.tasks = tasks.size();
-  result.metrics.shuffle_bytes = report.total.bytes_sent;
   result.distribute_seconds = distribute_seconds;
   return result;
 }
 
 // -------------------------------------------------------------- Spark --
 
-Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
+Result<LfRunResult> run_spark(EngineSession& session, int approach,
+                              std::span<const Vec3> atoms,
                               std::size_t n_atoms, double cutoff,
                               const LfRunConfig& config,
                               LfStreamState* stream) {
   auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  spark::SparkContext sc(spark::SparkConfig{
-      .executor_threads = config.workers,
-      .task_memory_limit = config.task_memory_limit,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) sc.enable_tracing(*config.tracer);
-  ElasticDriver elastic(
-      config.membership_plan,
-      [&sc, plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          sc.add_executors(ev.count);
-        } else {
-          sc.decommission_executors(ev.count, plan->departure);
-        }
-      });
-  AdaptiveDriver adaptive(config.adaptive, autoscale::spark_adapter(sc),
-                          &window, config.recovery_log);
+  spark::SparkContext& sc = session.spark();
 
   // Approach 1 broadcasts the full system; the others account only the
   // per-task block inputs (task-API style).
@@ -367,42 +327,20 @@ Result<LfRunResult> run_spark(int approach, std::span<const Vec3> atoms,
                      std::to_string(e.requested()) + " B > limit " +
                      std::to_string(e.limit()) + " B");
   }
-  result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = sc.metrics().tasks_executed.load();
-  result.metrics.stages = sc.metrics().stages_executed.load();
-  result.metrics.shuffle_bytes = sc.metrics().shuffle_bytes.load();
-  result.metrics.broadcast_bytes = sc.metrics().broadcast_bytes.load();
+  result.metrics = session.metrics(timer.seconds());
   result.distribute_seconds = distribute_seconds;
   return result;
 }
 
 // --------------------------------------------------------------- Dask --
 
-Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
+Result<LfRunResult> run_dask(EngineSession& session, int approach,
+                             std::span<const Vec3> atoms,
                              std::size_t n_atoms, double cutoff,
                              const LfRunConfig& config,
                              LfStreamState* stream) {
   const auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  dask::DaskClient client(dask::DaskConfig{
-      .workers = config.workers,
-      .task_memory_limit = config.task_memory_limit,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) client.enable_tracing(*config.tracer);
-  ElasticDriver elastic(
-      config.membership_plan,
-      [&client,
-       plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          client.add_workers(ev.count);
-        } else {
-          client.retire_workers(ev.count, plan->departure);
-        }
-      });
-  AdaptiveDriver adaptive(config.adaptive, autoscale::dask_adapter(client),
-                          &window, config.recovery_log);
+  dask::DaskClient& client = session.dask();
 
   // Approach 1: scatter/replicate the positions to workers (Dask's
   // broadcast is weaker than Spark's — modelled in the perf layer; here
@@ -481,9 +419,7 @@ Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
                      std::to_string(e.requested()) + " B > limit " +
                      std::to_string(e.limit()) + " B)");
   }
-  result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = client.metrics().tasks_executed.load();
-  result.metrics.shuffle_bytes = client.metrics().shuffle_bytes.load();
+  result.metrics = session.metrics(timer.seconds());
   result.metrics.broadcast_bytes = broadcast_bytes;
   result.worker_restarts = client.worker_restarts();
   result.distribute_seconds = distribute_seconds;
@@ -492,29 +428,12 @@ Result<LfRunResult> run_dask(int approach, std::span<const Vec3> atoms,
 
 // ----------------------------------------------------------------- RP --
 
-Result<LfRunResult> run_rp(int approach, std::span<const Vec3> atoms,
-                           std::size_t n_atoms, double cutoff,
-                           const LfRunConfig& config,
+Result<LfRunResult> run_rp(EngineSession& session, int approach,
+                           std::span<const Vec3> atoms, std::size_t n_atoms,
+                           double cutoff, const LfRunConfig& config,
                            LfStreamState* stream) {
   const auto tasks = plan_tasks(approach, n_atoms, config.target_tasks);
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  rp::UnitManager um(rp::PilotDescription{
-      .cores = config.workers,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) um.enable_tracing(*config.tracer);
-  ElasticDriver elastic(
-      config.membership_plan,
-      [&um](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          um.grow_pilot(ev.count);
-        } else {
-          um.shrink_pilot(ev.count);
-        }
-      });
-  AdaptiveDriver adaptive(config.adaptive, autoscale::rp_adapter(um),
-                          &window, config.recovery_log);
+  rp::UnitManager& um = session.rp();
 
   WallTimer timer;
   std::vector<rp::ComputeUnitDescription> descriptions;
@@ -580,10 +499,7 @@ Result<LfRunResult> run_rp(int approach, std::span<const Vec3> atoms,
   result = uses_partial_components(approach)
                ? finish_from_partials(n_atoms, parts)
                : finish_from_edges(n_atoms, std::move(edges));
-  result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = um.metrics().tasks_executed.load();
-  result.metrics.staged_bytes = um.metrics().staged_bytes.load();
-  result.metrics.db_roundtrips = um.metrics().db_roundtrips.load();
+  result.metrics = session.metrics(timer.seconds());
   return result;
 }
 
@@ -592,15 +508,21 @@ Result<LfRunResult> dispatch(EngineKind engine, int approach,
                              std::size_t n_atoms, double cutoff,
                              const LfRunConfig& config,
                              LfStreamState* stream) {
+  EngineSession session(
+      engine, config, {.task_memory_limit = config.task_memory_limit});
   switch (engine) {
     case EngineKind::kMpi:
-      return run_mpi(approach, atoms, n_atoms, cutoff, config, stream);
+      return run_mpi(session, approach, atoms, n_atoms, cutoff, config,
+                     stream);
     case EngineKind::kSpark:
-      return run_spark(approach, atoms, n_atoms, cutoff, config, stream);
+      return run_spark(session, approach, atoms, n_atoms, cutoff, config,
+                       stream);
     case EngineKind::kDask:
-      return run_dask(approach, atoms, n_atoms, cutoff, config, stream);
+      return run_dask(session, approach, atoms, n_atoms, cutoff, config,
+                      stream);
     case EngineKind::kRp:
-      return run_rp(approach, atoms, n_atoms, cutoff, config, stream);
+      return run_rp(session, approach, atoms, n_atoms, cutoff, config,
+                    stream);
   }
   return Error(ErrorCode::kInvalidArgument, "unknown engine");
 }
@@ -615,17 +537,10 @@ Result<LfRunResult> run_leaflet_finder(EngineKind engine, int approach,
     return Error(ErrorCode::kInvalidArgument,
                  "leaflet finder approach must be 1..4");
   }
-  // Whole-run span on the shared "workflow" driver track, enclosing the
-  // engine-level spans the run emits below it in the timeline.
-  trace::Span run_span;
-  if (config.tracer != nullptr) {
-    const std::uint32_t pid = config.tracer->process("workflow");
-    run_span = config.tracer->span(
-        config.tracer->named_thread(pid, "driver"),
-        std::string("leaflet-finder/") + to_string(engine), "workflow");
-    run_span.arg_num("approach", approach);
-    run_span.arg_num("atoms", static_cast<double>(atoms.size()));
-  }
+  trace::Span run_span = EngineSession::run_span(
+      config.tracer, std::string("leaflet-finder/") + to_string(engine));
+  run_span.arg_num("approach", approach);
+  run_span.arg_num("atoms", static_cast<double>(atoms.size()));
   return dispatch(engine, approach, atoms, atoms.size(), cutoff, config,
                   nullptr);
 }
@@ -660,16 +575,11 @@ Result<LfRunResult> run_leaflet_finder_streamed(EngineKind engine,
     return run;
   }
 
-  trace::Span run_span;
-  if (config.tracer != nullptr) {
-    const std::uint32_t pid = config.tracer->process("workflow");
-    run_span = config.tracer->span(
-        config.tracer->named_thread(pid, "driver"),
-        std::string("leaflet-finder-streamed/") + to_string(engine),
-        "workflow");
-    run_span.arg_num("approach", approach);
-    run_span.arg_num("atoms", static_cast<double>(n_atoms));
-  }
+  trace::Span run_span = EngineSession::run_span(
+      config.tracer,
+      std::string("leaflet-finder-streamed/") + to_string(engine));
+  run_span.arg_num("approach", approach);
+  run_span.arg_num("atoms", static_cast<double>(n_atoms));
   auto result =
       dispatch(engine, approach, {}, n_atoms, cutoff, config, &state);
   if (!result.ok()) return result;

@@ -7,11 +7,8 @@
 
 #include "mdtask/common/serial.h"
 #include "mdtask/common/timer.h"
-#include "mdtask/engines/dask/dask.h"
-#include "mdtask/engines/mpi/runtime.h"
-#include "mdtask/engines/rp/pilot.h"
-#include "mdtask/engines/spark/spark.h"
 #include "mdtask/stream/shard_reader.h"
+#include "mdtask/workflows/engine_session.h"
 
 namespace mdtask::workflows {
 namespace {
@@ -124,78 +121,42 @@ std::vector<MatrixEntry> run_block(const traj::Ensemble& ensemble,
   return compute_block_entries(ensemble, block, metric, policy);
 }
 
-PsaRunResult run_psa_mpi(const traj::Ensemble& ensemble, std::size_t n,
+PsaRunResult run_psa_mpi(EngineSession& session,
+                         const traj::Ensemble& ensemble, std::size_t n,
                          const PsaRunConfig& config,
                          PsaStreamState* stream) {
   const auto blocks = plan_blocks(n, config);
   PsaRunResult result;
   result.matrix = DistanceMatrix(n);
   WallTimer timer;
-  const int ranks = static_cast<int>(std::max<std::size_t>(1, config.workers));
-  auto body = [&](mpi::Communicator& comm) {
-        // Block-cyclic ownership; every rank reads the shared ensemble
-        // (in the paper each task reads its input files from Lustre).
-        std::vector<MatrixEntry> mine;
-        for (std::size_t b = static_cast<std::size_t>(comm.rank());
-             b < blocks.size();
-             b += static_cast<std::size_t>(comm.size())) {
-          auto entries = run_block(ensemble, blocks[b], config.metric,
-                                   config.kernel_policy, stream);
-          mine.insert(mine.end(), entries.begin(), entries.end());
-        }
-        auto gathered = comm.gather<MatrixEntry>(mine, 0);
-        if (comm.rank() == 0) {
-          for (const auto& part : gathered) fill_matrix(result.matrix, part);
-        }
-  };
-  // Rigid world: the controller can only record vetoed resize
-  // decisions, reproducing the paper's inelastic-MPI baseline.
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  AdaptiveDriver adaptive(config.adaptive,
-                          autoscale::mpi_adapter(
-                              static_cast<std::size_t>(ranks)),
-                          &window, config.recovery_log);
-  mpi::SpmdReport report;
-  if (config.fault_plan != nullptr && !config.fault_plan->empty()) {
-    // Checkpoint-abort-restart: a budget-exhausted plan propagates the
-    // InjectedFault (MPI_Abort semantics — PSA has no partial results).
-    report = mpi::run_spmd_with_recovery(
-        ranks,
-        [&](mpi::Communicator& comm, fault::CheckpointStore&) { body(comm); },
-        *config.fault_plan, config.recovery_log,
-        mpi::BcastAlgorithm::kBinomialTree, config.tracer);
-  } else {
-    report = mpi::run_spmd(ranks, body, mpi::BcastAlgorithm::kBinomialTree,
-                           config.tracer);
-  }
-  result.metrics.wall_seconds = timer.seconds();
+  // A budget-exhausted fault plan propagates the InjectedFault (MPI_Abort
+  // semantics — PSA has no partial results).
+  session.spmd([&](mpi::Communicator& comm, fault::CheckpointStore&) {
+    // Block-cyclic ownership; every rank reads the shared ensemble
+    // (in the paper each task reads its input files from Lustre).
+    std::vector<MatrixEntry> mine;
+    for (std::size_t b = static_cast<std::size_t>(comm.rank());
+         b < blocks.size(); b += static_cast<std::size_t>(comm.size())) {
+      auto entries = run_block(ensemble, blocks[b], config.metric,
+                               config.kernel_policy, stream);
+      mine.insert(mine.end(), entries.begin(), entries.end());
+    }
+    auto gathered = comm.gather<MatrixEntry>(mine, 0);
+    if (comm.rank() == 0) {
+      for (const auto& part : gathered) fill_matrix(result.matrix, part);
+    }
+  });
+  result.metrics = session.metrics(timer.seconds());
   result.metrics.tasks = blocks.size();
-  result.metrics.shuffle_bytes = report.total.bytes_sent;
   return result;
 }
 
-PsaRunResult run_psa_spark(const traj::Ensemble& ensemble, std::size_t n,
+PsaRunResult run_psa_spark(EngineSession& session,
+                           const traj::Ensemble& ensemble, std::size_t n,
                            const PsaRunConfig& config,
                            PsaStreamState* stream) {
   auto blocks = plan_blocks(n, config);
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  spark::SparkContext sc(spark::SparkConfig{
-      .executor_threads = config.workers,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) sc.enable_tracing(*config.tracer);
-  ElasticDriver elastic(
-      config.membership_plan,
-      [&sc, plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          sc.add_executors(ev.count);
-        } else {
-          sc.decommission_executors(ev.count, plan->departure);
-        }
-      });
-  AdaptiveDriver adaptive(config.adaptive, autoscale::spark_adapter(sc),
-                          &window, config.recovery_log);
+  spark::SparkContext& sc = session.spark();
   // The trajectory ensemble is a broadcast variable, as the paper's
   // PySpark implementation ships the file set description to executors.
   std::uint64_t ensemble_bytes = 0;
@@ -222,42 +183,22 @@ PsaRunResult run_psa_spark(const traj::Ensemble& ensemble, std::size_t n,
   PsaRunResult result;
   result.matrix = DistanceMatrix(n);
   fill_matrix(result.matrix, entries);
-  result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = sc.metrics().tasks_executed.load();
-  result.metrics.stages = sc.metrics().stages_executed.load();
-  result.metrics.broadcast_bytes = sc.metrics().broadcast_bytes.load();
+  result.metrics = session.metrics(timer.seconds());
   return result;
 }
 
-PsaRunResult run_psa_dask(const traj::Ensemble& ensemble, std::size_t n,
+PsaRunResult run_psa_dask(EngineSession& session,
+                          const traj::Ensemble& ensemble, std::size_t n,
                           const PsaRunConfig& config,
                           PsaStreamState* stream) {
   const auto blocks = plan_blocks(n, config);
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  dask::DaskClient client(dask::DaskConfig{
-      .workers = config.workers,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) client.enable_tracing(*config.tracer);
-  ElasticDriver elastic(
-      config.membership_plan,
-      [&client,
-       plan = config.membership_plan](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          client.add_workers(ev.count);
-        } else {
-          client.retire_workers(ev.count, plan->departure);
-        }
-      });
-  AdaptiveDriver adaptive(config.adaptive, autoscale::dask_adapter(client),
-                          &window, config.recovery_log);
   WallTimer timer;
   std::vector<dask::Future<std::vector<MatrixEntry>>> futures;
   futures.reserve(blocks.size());
   for (const auto& block : blocks) {
     // One delayed function per block task, exactly the paper's Dask PSA.
-    futures.push_back(client.submit([&ensemble, block, &config, stream] {
+    futures.push_back(session.dask().submit([&ensemble, block, &config,
+                                             stream] {
       return run_block(ensemble, block, config.metric, config.kernel_policy,
                        stream);
     }));
@@ -265,33 +206,16 @@ PsaRunResult run_psa_dask(const traj::Ensemble& ensemble, std::size_t n,
   PsaRunResult result;
   result.matrix = DistanceMatrix(n);
   for (const auto& f : futures) fill_matrix(result.matrix, f.get());
-  result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = client.metrics().tasks_executed.load();
+  result.metrics = session.metrics(timer.seconds());
   return result;
 }
 
-PsaRunResult run_psa_rp(const traj::Ensemble& ensemble, std::size_t n,
+PsaRunResult run_psa_rp(EngineSession& session,
+                        const traj::Ensemble& ensemble, std::size_t n,
                         const PsaRunConfig& config,
                         PsaStreamState* stream) {
   const auto blocks = plan_blocks(n, config);
-  autoscale::MetricsWindow window(config.adaptive.metrics_capacity);
-  rp::UnitManager um(rp::PilotDescription{
-      .cores = config.workers,
-      .fault_plan = config.fault_plan,
-      .recovery_log = config.recovery_log,
-      .metrics_window = config.adaptive.enabled ? &window : nullptr});
-  if (config.tracer != nullptr) um.enable_tracing(*config.tracer);
-  ElasticDriver elastic(
-      config.membership_plan,
-      [&um](const fault::MembershipEvent& ev) {
-        if (ev.kind == fault::MembershipKind::kNodeJoin) {
-          um.grow_pilot(ev.count);
-        } else {
-          um.shrink_pilot(ev.count);
-        }
-      });
-  AdaptiveDriver adaptive(config.adaptive, autoscale::rp_adapter(um),
-                          &window, config.recovery_log);
+  rp::UnitManager& um = session.rp();
   WallTimer timer;
   std::vector<rp::ComputeUnitDescription> descriptions;
   descriptions.reserve(blocks.size());
@@ -324,24 +248,25 @@ PsaRunResult run_psa_rp(const traj::Ensemble& ensemble, std::size_t n,
     auto entries = reader.get_vector<MatrixEntry>();
     if (entries.ok()) fill_matrix(result.matrix, entries.value());
   }
-  result.metrics.wall_seconds = timer.seconds();
-  result.metrics.tasks = um.metrics().tasks_executed.load();
-  result.metrics.staged_bytes = um.metrics().staged_bytes.load();
-  result.metrics.db_roundtrips = um.metrics().db_roundtrips.load();
+  result.metrics = session.metrics(timer.seconds());
   return result;
 }
 
 PsaRunResult dispatch(EngineKind engine, const traj::Ensemble& ensemble,
                       std::size_t n, const PsaRunConfig& config,
                       PsaStreamState* stream) {
+  EngineSession session(engine, config);
   switch (engine) {
-    case EngineKind::kMpi: return run_psa_mpi(ensemble, n, config, stream);
+    case EngineKind::kMpi:
+      return run_psa_mpi(session, ensemble, n, config, stream);
     case EngineKind::kSpark:
-      return run_psa_spark(ensemble, n, config, stream);
-    case EngineKind::kDask: return run_psa_dask(ensemble, n, config, stream);
-    case EngineKind::kRp: return run_psa_rp(ensemble, n, config, stream);
+      return run_psa_spark(session, ensemble, n, config, stream);
+    case EngineKind::kDask:
+      return run_psa_dask(session, ensemble, n, config, stream);
+    case EngineKind::kRp:
+      return run_psa_rp(session, ensemble, n, config, stream);
   }
-  return run_psa_mpi(ensemble, n, config, stream);
+  return run_psa_mpi(session, ensemble, n, config, stream);
 }
 
 }  // namespace
@@ -360,15 +285,9 @@ std::size_t psa_effective_block_size(std::size_t n_trajectories,
 
 PsaRunResult run_psa(EngineKind engine, const traj::Ensemble& ensemble,
                      const PsaRunConfig& config) {
-  // Whole-run span on the shared "workflow" driver track.
-  trace::Span run_span;
-  if (config.tracer != nullptr) {
-    const std::uint32_t pid = config.tracer->process("workflow");
-    run_span = config.tracer->span(
-        config.tracer->named_thread(pid, "driver"),
-        std::string("psa/") + to_string(engine), "workflow");
-    run_span.arg_num("trajectories", static_cast<double>(ensemble.size()));
-  }
+  trace::Span run_span = EngineSession::run_span(
+      config.tracer, std::string("psa/") + to_string(engine));
+  run_span.arg_num("trajectories", static_cast<double>(ensemble.size()));
   return dispatch(engine, ensemble, ensemble.size(), config, nullptr);
 }
 
@@ -393,15 +312,9 @@ Result<PsaRunResult> run_psa_streamed(EngineKind engine,
   state.frames_each = state.reader.frames() / input.trajectories;
   if (config.tracer != nullptr) state.reader.set_tracer(config.tracer);
 
-  trace::Span run_span;
-  if (config.tracer != nullptr) {
-    const std::uint32_t pid = config.tracer->process("workflow");
-    run_span = config.tracer->span(
-        config.tracer->named_thread(pid, "driver"),
-        std::string("psa-streamed/") + to_string(engine), "workflow");
-    run_span.arg_num("trajectories",
-                     static_cast<double>(input.trajectories));
-  }
+  trace::Span run_span = EngineSession::run_span(
+      config.tracer, std::string("psa-streamed/") + to_string(engine));
+  run_span.arg_num("trajectories", static_cast<double>(input.trajectories));
   const traj::Ensemble empty;
   PsaRunResult result =
       dispatch(engine, empty, input.trajectories, config, &state);

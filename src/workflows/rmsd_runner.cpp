@@ -1,191 +1,26 @@
 #include "mdtask/workflows/rmsd_runner.h"
 
-#include <algorithm>
-
-#include "mdtask/common/serial.h"
-#include "mdtask/common/timer.h"
-#include "mdtask/engines/dask/dask.h"
-#include "mdtask/engines/mpi/runtime.h"
-#include "mdtask/engines/rp/pilot.h"
-#include "mdtask/engines/spark/spark.h"
+#include "mdtask/analysis/rmsd.h"
+#include "mdtask/workflows/frame_series.h"
 
 namespace mdtask::workflows {
-namespace {
-
-struct FrameBlock {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-};
-
-std::vector<FrameBlock> plan_blocks(std::size_t frames,
-                                    const RmsdRunConfig& config) {
-  std::size_t block = config.frame_block;
-  if (block == 0) {
-    block = std::max<std::size_t>(
-        1, frames / std::max<std::size_t>(1, config.workers));
-  }
-  std::vector<FrameBlock> blocks;
-  for (std::size_t b = 0; b < frames; b += block) {
-    blocks.push_back({b, std::min(b + block, frames)});
-  }
-  return blocks;
-}
-
-/// Block result carried through the engines: offset + values.
-struct BlockResult {
-  std::size_t begin = 0;
-  std::vector<double> values;
-};
-
-BlockResult compute_block(const traj::Trajectory& trajectory,
-                          std::span<const traj::Vec3> reference,
-                          const FrameBlock& block, bool superpose) {
-  BlockResult out;
-  out.begin = block.begin;
-  std::vector<double> scratch(trajectory.frames(), 0.0);
-  analysis::rmsd_series_block(trajectory, reference, block.begin, block.end,
-                              superpose, scratch);
-  out.values.assign(scratch.begin() + static_cast<std::ptrdiff_t>(block.begin),
-                    scratch.begin() + static_cast<std::ptrdiff_t>(block.end));
-  return out;
-}
-
-void place(std::vector<double>& series, const BlockResult& block) {
-  std::copy(block.values.begin(), block.values.end(),
-            series.begin() + static_cast<std::ptrdiff_t>(block.begin));
-}
-
-}  // namespace
 
 RmsdRunResult run_rmsd_series(EngineKind engine,
                               const traj::Trajectory& trajectory,
                               const RmsdRunConfig& config) {
-  RmsdRunResult result;
-  result.series.assign(trajectory.frames(), 0.0);
-  if (trajectory.frames() == 0) return result;
-
-  const auto blocks = plan_blocks(trajectory.frames(), config);
+  if (trajectory.frames() == 0) return {};
+  // The per-frame observable rmsd_series_block evaluates, so the series
+  // is bit-identical to the serial reference.
   const auto reference = trajectory.frame(config.options.reference_frame);
   const bool superpose = config.options.superpose;
-  WallTimer timer;
-
-  switch (engine) {
-    case EngineKind::kMpi: {
-      mpi::run_spmd(
-          static_cast<int>(std::max<std::size_t>(1, config.workers)),
-          [&](mpi::Communicator& comm) {
-            std::vector<double> mine;
-            std::vector<std::uint64_t> offsets;
-            for (std::size_t b = static_cast<std::size_t>(comm.rank());
-                 b < blocks.size();
-                 b += static_cast<std::size_t>(comm.size())) {
-              auto block = compute_block(trajectory, reference, blocks[b],
-                                         superpose);
-              offsets.push_back(block.begin);
-              offsets.push_back(block.values.size());
-              mine.insert(mine.end(), block.values.begin(),
-                          block.values.end());
-            }
-            auto all_offsets = comm.gather<std::uint64_t>(offsets, 0);
-            auto all_values = comm.gather<double>(mine, 0);
-            if (comm.rank() == 0) {
-              for (std::size_t r = 0; r < all_offsets.size(); ++r) {
-                std::size_t cursor = 0;
-                for (std::size_t k = 0; k + 1 < all_offsets[r].size();
-                     k += 2) {
-                  const auto begin =
-                      static_cast<std::size_t>(all_offsets[r][k]);
-                  const auto count =
-                      static_cast<std::size_t>(all_offsets[r][k + 1]);
-                  std::copy_n(all_values[r].begin() +
-                                  static_cast<std::ptrdiff_t>(cursor),
-                              count,
-                              result.series.begin() +
-                                  static_cast<std::ptrdiff_t>(begin));
-                  cursor += count;
-                }
-              }
-            }
-          });
-      break;
-    }
-    case EngineKind::kSpark: {
-      spark::SparkContext sc(
-          spark::SparkConfig{.executor_threads = config.workers});
-      auto ref_bc = sc.broadcast(reference,
-                                 reference.size() * sizeof(traj::Vec3));
-      auto results =
-          sc.parallelize(blocks, blocks.size())
-              .map_partitions([&trajectory, ref_bc, superpose](
-                                  spark::TaskContext&,
-                                  std::vector<FrameBlock>& mine) {
-                std::vector<BlockResult> out;
-                for (const auto& block : mine) {
-                  out.push_back(compute_block(trajectory, *ref_bc, block,
-                                              superpose));
-                }
-                return out;
-              })
-              .collect();
-      for (const auto& block : results) place(result.series, block);
-      result.metrics.stages = sc.metrics().stages_executed.load();
-      break;
-    }
-    case EngineKind::kDask: {
-      dask::DaskClient client(dask::DaskConfig{.workers = config.workers});
-      std::vector<dask::Future<BlockResult>> futures;
-      futures.reserve(blocks.size());
-      for (const auto& block : blocks) {
-        futures.push_back(client.submit([&trajectory, reference, block,
-                                         superpose] {
-          return compute_block(trajectory, reference, block, superpose);
-        }));
-      }
-      for (const auto& f : futures) place(result.series, f.get());
-      break;
-    }
-    case EngineKind::kRp: {
-      rp::UnitManager um(rp::PilotDescription{.cores = config.workers});
-      std::vector<rp::ComputeUnitDescription> descriptions;
-      for (std::size_t b = 0; b < blocks.size(); ++b) {
-        const std::string path = "rmsd/block_" + std::to_string(b) + ".bin";
-        descriptions.push_back(rp::ComputeUnitDescription{
-            .name = "rmsd_" + std::to_string(b),
-            .executable =
-                [&trajectory, reference, block = blocks[b], superpose,
-                 path](rp::SharedFilesystem& fs) {
-                  auto computed = compute_block(trajectory, reference,
-                                                block, superpose);
-                  ByteWriter writer;
-                  writer.put<std::uint64_t>(computed.begin);
-                  writer.put_span<double>(computed.values);
-                  fs.put(path, std::move(writer).take());
-                },
-            .input_staging = {},
-            .output_staging = {path}});
-      }
-      um.submit_units(std::move(descriptions));
-      um.wait_units();
-      for (std::size_t b = 0; b < blocks.size(); ++b) {
-        auto bytes =
-            um.filesystem().get("rmsd/block_" + std::to_string(b) + ".bin");
-        if (!bytes.ok()) continue;
-        ByteReader reader(bytes.value());
-        auto begin = reader.get<std::uint64_t>();
-        auto values = reader.get_vector<double>();
-        if (begin.ok() && values.ok()) {
-          BlockResult block{static_cast<std::size_t>(begin.value()),
-                            std::move(values).value()};
-          place(result.series, block);
-        }
-      }
-      result.metrics.db_roundtrips = um.metrics().db_roundtrips.load();
-      break;
-    }
-  }
-  result.metrics.tasks = blocks.size();
-  result.metrics.wall_seconds = timer.seconds();
-  return result;
+  auto run = run_frame_series(
+      engine, trajectory,
+      [reference, superpose](std::span<const traj::Vec3> frame) {
+        return superpose ? analysis::kabsch_rmsd(frame, reference)
+                         : analysis::frame_rmsd(frame, reference);
+      },
+      {.workers = config.workers, .frame_block = config.frame_block});
+  return {std::move(run.series), run.metrics};
 }
 
 }  // namespace mdtask::workflows

@@ -59,6 +59,39 @@ TEST(SerialTest, TruncatedVectorFails) {
   EXPECT_FALSE(r.get_vector<double>().ok());
 }
 
+TEST(SerialTest, EmptyVectorRoundTrip) {
+  ByteWriter w;
+  w.put_span<double>(std::vector<double>{});
+  ByteReader r(w.bytes());
+  auto back = r.get_vector<double>();
+  ASSERT_TRUE(back.ok());
+  EXPECT_TRUE(back.value().empty());
+  EXPECT_EQ(r.remaining(), 0u);
+}
+
+TEST(SerialTest, VectorCountThatWrapsByteSizeFails) {
+  // (2^61 + 1) * sizeof(double) wraps to 8, which the 8 payload bytes
+  // would satisfy if the size were multiplied before the bounds check.
+  ByteWriter w;
+  w.put<std::uint64_t>((std::uint64_t{1} << 61) + 1);
+  w.put<double>(1.0);
+  ByteReader r(w.bytes());
+  auto back = r.get_vector<double>();
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code(), ErrorCode::kFormatError);
+}
+
+TEST(SerialTest, StringLengthThatWrapsPositionFails) {
+  // After the 8-byte length, pos + (2^64 - 8) wraps to 0.
+  ByteWriter w;
+  w.put<std::uint64_t>(~std::uint64_t{0} - 7);
+  w.put<std::uint64_t>(0);
+  ByteReader r(w.bytes());
+  auto back = r.get_string();
+  ASSERT_FALSE(back.ok());
+  EXPECT_EQ(back.error().code(), ErrorCode::kFormatError);
+}
+
 TEST(SerialTest, SizeTracksPayload) {
   ByteWriter w;
   EXPECT_EQ(w.size(), 0u);

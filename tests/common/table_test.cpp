@@ -6,6 +6,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "test_paths.h"
+
 namespace mdtask {
 namespace {
 
@@ -49,7 +51,7 @@ TEST(TableTest, WriteCsvRoundTrip) {
   Table t("x");
   t.set_header({"k", "v"});
   t.add_row({"alpha", "1"});
-  const std::string path = ::testing::TempDir() + "/table_test.csv";
+  const std::string path = unique_temp_path(".csv");
   ASSERT_TRUE(t.write_csv(path).ok());
   std::ifstream f(path);
   std::stringstream ss;

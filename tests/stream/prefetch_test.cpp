@@ -15,13 +15,14 @@
 
 #include "mdtask/common/thread_pool.h"
 #include "mdtask/traj/generators.h"
+#include "test_paths.h"
 
 namespace mdtask::stream {
 namespace {
 
 class PrefetchTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/prefetch_test.mds";
+  std::string path_ = unique_temp_path(".mds");
 
   void SetUp() override {
     traj::ProteinTrajectoryParams p;

@@ -14,13 +14,14 @@
 
 #include "mdtask/stream/shard_reader.h"
 #include "mdtask/traj/generators.h"
+#include "test_paths.h"
 
 namespace mdtask::stream {
 namespace {
 
 class ShardFormatTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/shard_format_test.mds";
+  std::string path_ = unique_temp_path(".mds");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 

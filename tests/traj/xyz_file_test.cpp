@@ -6,13 +6,14 @@
 #include <fstream>
 
 #include "mdtask/traj/generators.h"
+#include "test_paths.h"
 
 namespace mdtask::traj {
 namespace {
 
 class XyzFileTest : public ::testing::Test {
  protected:
-  std::string path_ = ::testing::TempDir() + "/test_traj.xyz";
+  std::string path_ = unique_temp_path(".xyz");
   void TearDown() override { std::remove(path_.c_str()); }
 };
 
