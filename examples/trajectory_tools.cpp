@@ -74,12 +74,20 @@ int main(int argc, char** argv) {
   fitted_config.options.superpose = true;
   auto fitted = workflows::run_rmsd_series(workflows::EngineKind::kSpark,
                                            sub.value(), fitted_config);
+  for (const auto* run : {&plain, &fitted}) {
+    if (!run->ok()) {
+      std::fprintf(stderr, "%s\n", run->error().to_string().c_str());
+      return 1;
+    }
+  }
 
   Table table("RMSD of the shell selection vs frame 0");
   table.set_header({"frame", "rmsd", "rmsd_superposed"});
-  for (std::size_t f = 0; f < plain.series.size(); f += frames / 10) {
-    table.add_row({std::to_string(f), Table::fmt(plain.series[f], 3),
-                   Table::fmt(fitted.series[f], 3)});
+  const auto& plain_series = plain.value().series;
+  const auto& fitted_series = fitted.value().series;
+  for (std::size_t f = 0; f < plain_series.size(); f += frames / 10) {
+    table.add_row({std::to_string(f), Table::fmt(plain_series[f], 3),
+                   Table::fmt(fitted_series[f], 3)});
   }
   std::printf("%s\n", table.render().c_str());
 

@@ -22,8 +22,8 @@ class BallTree {
   /// (reordered for locality) plus their original indices.
   /// `leaf_size` bounds the linear-scan fan-out at the leaves.
   /// `policy` selects the leaf-scan kernel: kScalar is the per-point
-  /// branchy loop; kBlocked/kVectorized run a branch-free SoA distance
-  /// sweep over the leaf range. The per-point predicate
+  /// branchy loop; kVectorized runs a branch-free SoA distance sweep over
+  /// the leaf range. The per-point predicate
   /// (dist2(p, q) <= radius^2, double accumulation over float inputs) is
   /// the same expression under every policy, so query results are
   /// identical.

@@ -39,10 +39,11 @@ double hausdorff_early_break(const traj::Trajectory& t1,
 /// packed SoA layout (mdtask::kernels) instead of through the
 /// std::function indirection, with the batch kernel variant selected by
 /// `policy`. kScalar reproduces the seed's values and evaluation counts
-/// bit-for-bit; kBlocked adds tiling (identical values, early break at
-/// tile granularity); kVectorized additionally accumulates in single
-/// precision (values equal to ~1e-6 relative). The policy defaults to
-/// kernels::default_policy() (env MDTASK_KERNEL_POLICY).
+/// bit-for-bit; kVectorized filters frame pairs in single-precision
+/// lanes and confirms the deciding ones in the seed's double order, so
+/// its values are bit-identical too (early break at tile granularity).
+/// The policy defaults to kernels::default_policy() (env
+/// MDTASK_KERNEL_POLICY).
 double hausdorff_naive(const traj::Trajectory& t1, const traj::Trajectory& t2,
                        kernels::KernelPolicy policy);
 double hausdorff_early_break(const traj::Trajectory& t1,
@@ -54,9 +55,9 @@ double hausdorff_early_break(const traj::Trajectory& t1,
 
 /// Counts metric evaluations; used by tests/ablations to demonstrate the
 /// early-break saving. Both run to completion and must agree on value.
-/// On the blocked/vectorized paths the early-break count is at tile
-/// granularity and can exceed the scalar per-pair count, but never the
-/// naive frames^2 total.
+/// Under kVectorized the early-break count is at tile granularity and
+/// can exceed the scalar per-pair count, but never the naive frames^2
+/// total.
 struct HausdorffProfile {
   double distance = 0.0;
   std::size_t metric_evals = 0;

@@ -76,8 +76,8 @@ std::vector<Edge> lf_edges_2d(std::span<const traj::Vec3> all_atoms,
 
 /// Policy-selected variants of the cdist map kernels. kScalar runs the
 /// materializing cdist path above, bit-identical to the seed (including
-/// its sqrt-then-compare predicate). kBlocked/kVectorized stream the
-/// block through the cache-blocked cutoff kernel instead — no dense
+/// its sqrt-then-compare predicate). kVectorized streams the block
+/// through the tiled cutoff kernel instead — no dense
 /// block is materialized, and the predicate is the squared-distance form
 /// `dist2 <= cutoff^2` (the same one edges_within_cutoff and the
 /// serial reference use).

@@ -59,8 +59,8 @@ std::vector<Edge> edges_within_cutoff(std::span<const traj::Vec3> xs,
                                       double cutoff);
 
 /// Policy-selected variant: kScalar runs the streaming scan above;
-/// kBlocked/kVectorized pack both point sets into SoA lanes and run the
-/// cache-blocked cutoff kernel (mdtask/kernels/batch.h). Positions are
+/// kVectorized packs both point sets into SoA lanes and runs the tiled
+/// cutoff kernel (mdtask/kernels/batch.h). Positions are
 /// already single precision, so the per-pair predicate is the exact
 /// `dist2(p, q) <= cutoff^2` of the scalar scan under every policy; the
 /// edge list (values and order) is identical.

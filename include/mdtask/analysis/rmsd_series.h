@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "mdtask/common/error.h"
 #include "mdtask/traj/trajectory.h"
 
 namespace mdtask::analysis {
@@ -20,8 +21,16 @@ struct RmsdSeriesOptions {
 };
 
 /// RMSD of every frame against the reference frame. Serial reference.
-std::vector<double> rmsd_series(const traj::Trajectory& trajectory,
-                                const RmsdSeriesOptions& options = {});
+/// kInvalidArgument when `options.reference_frame` is not a frame of a
+/// non-empty trajectory; an empty trajectory yields an empty series.
+Result<std::vector<double>> rmsd_series(
+    const traj::Trajectory& trajectory,
+    const RmsdSeriesOptions& options = {});
+
+/// The check rmsd_series applies: kInvalidArgument unless the
+/// trajectory is empty or `options.reference_frame` < frames().
+Status check_reference_frame(const traj::Trajectory& trajectory,
+                             const RmsdSeriesOptions& options);
 
 /// Computes series entries for frames [begin, end) into
 /// out[begin..end) (the parallel map kernel; `reference` is the

@@ -19,8 +19,8 @@ namespace mdtask::cpptraj {
 
 /// Which build of the kernel to run. kReference and kOptimized are
 /// Fig. 6's two curves; kTiled is the batch-kernel successor running the
-/// cache-blocked SoA kernel of mdtask/kernels/batch.h (vectorized
-/// policy).
+/// tiled SoA kernel of mdtask/kernels/batch.h (kVectorized, float
+/// lanes).
 enum class Rmsd2dKernel { kReference, kOptimized, kTiled };
 
 /// All-pairs frame RMSD between two trajectories, row-major
@@ -28,7 +28,7 @@ enum class Rmsd2dKernel { kReference, kOptimized, kTiled };
 std::vector<double> rmsd2d_block_reference(const traj::Trajectory& t1,
                                            const traj::Trajectory& t2);
 
-/// Same contract, optimized build (compiled -O3, blocked accumulation).
+/// Same contract, optimized build (compiled -O3, unrolled accumulation).
 std::vector<double> rmsd2d_block_optimized(const traj::Trajectory& t1,
                                            const traj::Trajectory& t2);
 

@@ -1,12 +1,13 @@
-// Vectorized, cache-blocked batch kernels over packed frames.
+// Vectorized, tiled batch kernels over packed frames.
 //
 // These are the compute cores behind the PSA Hausdorff distance, the
 // cpptraj 2D-RMSD comparator and the Leaflet Finder cutoff graph. Each
-// kernel takes a KernelPolicy selecting the scalar reference, the
-// cache-blocked single-accumulator variant (bit-identical results) or
-// the SIMD-lane variant (single-precision accumulation with periodic
-// double drains, ~1e-6 relative differences; the cutoff predicate
-// kernel emits identical pair lists under every policy).
+// kernel takes a KernelPolicy selecting the scalar reference or the
+// fast SIMD-lane tier. The fast tier's Hausdorff scan and cutoff
+// predicate use the float lanes as a filter with a bounded error margin
+// and confirm every deciding value with the scalar double expression,
+// so their results are bit-identical to kScalar; rmsd2d keeps its float
+// lanes (~1e-6 relative).
 //
 // Distances are compared in the squared-sum domain wherever possible:
 // sqrt and the division by the atom count are monotone, so min/max and
@@ -25,45 +26,44 @@
 
 namespace mdtask::kernels {
 
-/// Frames per inner tile of the one-to-many and 2-D kernels. The
-/// Hausdorff early break applies at this granularity on the blocked
-/// paths; equivalence tests exercise sizes of kFrameTile +/- 1.
+/// Frames per inner tile of the Hausdorff row scan and the 2-D kernel.
+/// The fast tier's Hausdorff early break applies at this granularity;
+/// equivalence tests exercise sizes of kFrameTile +/- 1.
 inline constexpr std::size_t kFrameTile = 16;
 
-/// Column-tile width (points) of the blocked cutoff kernel.
+/// Column-tile width (points) of the fast-tier cutoff kernel.
 inline constexpr std::size_t kCutoffTile = 256;
 
 /// Sum of squared coordinate differences between frame `frame_a` of `a`
-/// and frame `frame_b` of `b` (the pre-sqrt RMSD numerator). Scalar and
-/// blocked policies reproduce the seed's accumulation order exactly.
+/// and frame `frame_b` of `b` (the pre-sqrt RMSD numerator). kScalar
+/// reproduces the seed's accumulation order exactly; kVectorized returns
+/// the float-lane sum (~1e-6 relative).
 double frame_sumsq_packed(const FramePack& a, std::size_t frame_a,
                           const FramePack& b, std::size_t frame_b,
                           KernelPolicy policy) noexcept;
 
-/// One frame of A against the frame block [j_begin, j_end) of B: writes
-/// the per-frame squared sums to out_sumsq[j - j_begin] and returns the
-/// minimum over the block (+inf for an empty block). This is the tile
-/// primitive the blocked Hausdorff scan is built from.
-double sumsq_one_to_many(const FramePack& a, std::size_t frame_a,
-                         const FramePack& b, std::size_t j_begin,
-                         std::size_t j_end, std::span<double> out_sumsq,
-                         KernelPolicy policy) noexcept;
-
 /// Directed Hausdorff h(A -> B) over packed trajectories, RMSD frame
-/// metric. With `early_break`, the Taha-Hanbury cutoff is applied at
-/// kFrameTile granularity: a row's inner scan stops after the first tile
-/// whose running minimum can no longer raise the directed maximum, so
-/// the evaluation count never exceeds the naive frames(A) x frames(B)
-/// and the value is identical. `evals` (optional) accumulates the number
-/// of frame pairs evaluated.
+/// metric; the value is bit-identical under both policies. kScalar runs
+/// the seed's per-pair loop. kVectorized scans each row in float lanes;
+/// in a row that can still raise the maximum it recomputes in
+/// seed-order double only the frame pairs whose float sums lie within
+/// the error bound of the row minimum (docs/PERFORMANCE.md).
+/// With `early_break`, the Taha-Hanbury cutoff is applied per pair under
+/// kScalar and at kFrameTile granularity under kVectorized: a row's scan
+/// stops after the first tile whose upper bound on the row minimum can
+/// no longer raise the directed maximum, so the evaluation count never
+/// exceeds the naive frames(A) x frames(B).
+/// `evals` (optional) accumulates the number of frame pairs scanned
+/// (float-lane pairs under kVectorized; double confirmations are not
+/// counted).
 double hausdorff_directed_packed(const FramePack& a, const FramePack& b,
                                  bool early_break, KernelPolicy policy,
-                                 std::size_t* evals = nullptr) noexcept;
+                                 std::size_t* evals = nullptr);
 
 /// Symmetric Hausdorff max(h(A->B), h(B->A)) over packed trajectories.
 double hausdorff_packed(const FramePack& a, const FramePack& b,
                         bool early_break, KernelPolicy policy,
-                        std::size_t* evals = nullptr) noexcept;
+                        std::size_t* evals = nullptr);
 
 /// Symmetric Hausdorff with the two directed halves run as separate
 /// pool tasks, co-scheduled on L2-sharing workers via
@@ -102,7 +102,7 @@ struct IndexPair {
 /// Appends every (i, j) with |rows[i] - cols[j]|^2 <= cutoff^2 to `out`,
 /// in row-major scan order. Operates on frame 0 of each pack (the
 /// point-cloud convention of pack_points). The squared-distance
-/// expression matches traj::dist2 exactly, so all three policies emit
+/// expression matches traj::dist2 exactly, so both policies emit
 /// identical pair lists.
 void cutoff_pairs_packed(const FramePack& rows, const FramePack& cols,
                          double cutoff, KernelPolicy policy,

@@ -1,23 +1,19 @@
 // Kernel implementation policy for the hot analysis kernels.
 //
-// Every batch kernel in mdtask::kernels ships three implementations:
+// Every batch kernel in mdtask::kernels ships two tiers:
 //  * kScalar     — the original per-pair double loop, kept as the
-//                  reference; bit-identical to the seed code paths.
-//  * kBlocked    — cache-blocked SoA traversal with a single accumulator
-//                  per pair in the seed's summation order, so results
-//                  stay bit-identical to kScalar while the layout and
-//                  tiling already buy a large speedup.
-//  * kVectorized — kBlocked plus multi-accumulator (SIMD-lane) inner
-//                  loops the compiler vectorizes; squared differences
-//                  are accumulated in single precision and drained into
-//                  doubles periodically, so distance values may differ
-//                  from kScalar by ~1e-6 relative (the equivalence
-//                  tests pin the bound).
-//
-// Predicate kernels (cutoff within/without) decide with the same exact
-// double per-pair expression under every policy — kVectorized only adds
-// a conservative single-precision pre-filter — so the emitted pair
-// lists are identical across all three.
+//                  reference (the oracle the fast tier is tested
+//                  against); bit-identical to the seed code paths.
+//  * kVectorized — the fast tier: SoA lanes the compiler vectorizes
+//                  (16 single-precision accumulator lanes, drained into
+//                  doubles periodically). Reductions and predicates are
+//                  exact: the float lanes only filter, and every value
+//                  that can decide the result is recomputed with the
+//                  scalar tier's double expression in its summation
+//                  order. Hausdorff distances and cutoff pair lists are
+//                  therefore bit-identical to kScalar. rmsd2d, where
+//                  every cell is an output, keeps its float lanes and
+//                  agrees with kScalar to ~1e-6 relative.
 #pragma once
 
 #include <cstddef>
@@ -26,24 +22,24 @@
 
 namespace mdtask::kernels {
 
-enum class KernelPolicy { kScalar = 0, kBlocked = 1, kVectorized = 2 };
+enum class KernelPolicy { kScalar = 0, kVectorized = 1 };
 
 /// Number of policies; sized for per-policy calibration arrays.
-inline constexpr std::size_t kPolicyCount = 3;
+inline constexpr std::size_t kPolicyCount = 2;
 
 /// All policies in enum order (for sweeps in tests and benches).
 inline constexpr KernelPolicy kAllPolicies[kPolicyCount] = {
-    KernelPolicy::kScalar, KernelPolicy::kBlocked,
-    KernelPolicy::kVectorized};
+    KernelPolicy::kScalar, KernelPolicy::kVectorized};
 
 const char* to_string(KernelPolicy policy) noexcept;
 
-/// Parses "scalar" / "blocked" / "vectorized" (case-sensitive).
+/// Parses "scalar" / "vectorized" (case-sensitive).
 std::optional<KernelPolicy> parse_policy(std::string_view name) noexcept;
 
 /// Process-wide default: the MDTASK_KERNEL_POLICY environment variable
-/// when set to a valid policy name, otherwise kBlocked (fast and
-/// bit-identical to the seed scalar results). Read once per process.
+/// when set to a valid policy name, otherwise kVectorized (the fast tier,
+/// exact wherever kScalar is the oracle: Hausdorff and cutoff results
+/// are bit-identical). Read once per process.
 KernelPolicy default_policy() noexcept;
 
 }  // namespace mdtask::kernels

@@ -35,8 +35,8 @@ struct LfRunConfig : EngineRunConfig {
   /// tree reduce (true) or gather-and-merge at the driver (false).
   bool tree_reduce = true;
   /// Batch-kernel policy for edge discovery (mdtask/kernels/policy.h):
-  /// kScalar materializes cdist blocks exactly as the seed; blocked and
-  /// vectorized stream the cutoff kernel. The default honours
+  /// kScalar materializes cdist blocks exactly as the seed; kVectorized
+  /// streams the cutoff kernel. The default honours
   /// MDTASK_KERNEL_POLICY.
   kernels::KernelPolicy kernel_policy = kernels::default_policy();
 };

@@ -24,8 +24,10 @@ struct RmsdRunResult {
 };
 
 /// Computes the RMSD series of `trajectory` on the chosen engine.
-RmsdRunResult run_rmsd_series(EngineKind engine,
-                              const traj::Trajectory& trajectory,
-                              const RmsdRunConfig& config = {});
+/// kInvalidArgument when `config.options.reference_frame` is not a frame
+/// of a non-empty trajectory (analysis::check_reference_frame).
+Result<RmsdRunResult> run_rmsd_series(EngineKind engine,
+                                      const traj::Trajectory& trajectory,
+                                      const RmsdRunConfig& config = {});
 
 }  // namespace mdtask::workflows

@@ -113,7 +113,7 @@ void BallTree::scan_leaf(const Node& node, traj::Vec3 q, double r2,
   }
   // Branch-free SoA sweep: distances into a buffer first (the loop the
   // compiler vectorizes), then a branchless hit compaction — the same
-  // two-pass shape as the blocked cutoff kernel.
+  // two-pass shape as the fast-tier cutoff kernel.
   constexpr std::size_t kLeafTile = 256;
   double d2[kLeafTile];
   std::uint32_t hits[kLeafTile];

@@ -1,5 +1,7 @@
 #include "mdtask/analysis/rmsd_series.h"
 
+#include <string>
+
 #include "mdtask/analysis/rmsd.h"
 
 namespace mdtask::analysis {
@@ -14,8 +16,23 @@ void rmsd_series_block(const traj::Trajectory& trajectory,
   }
 }
 
-std::vector<double> rmsd_series(const traj::Trajectory& trajectory,
-                                const RmsdSeriesOptions& options) {
+Status check_reference_frame(const traj::Trajectory& trajectory,
+                             const RmsdSeriesOptions& options) {
+  if (trajectory.frames() != 0 &&
+      options.reference_frame >= trajectory.frames()) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "reference frame " + std::to_string(options.reference_frame) +
+                     " out of range for a trajectory of " +
+                     std::to_string(trajectory.frames()) + " frames");
+  }
+  return Status::success();
+}
+
+Result<std::vector<double>> rmsd_series(const traj::Trajectory& trajectory,
+                                        const RmsdSeriesOptions& options) {
+  if (auto status = check_reference_frame(trajectory, options); !status) {
+    return status.error();
+  }
   std::vector<double> out(trajectory.frames(), 0.0);
   if (trajectory.frames() == 0) return out;
   rmsd_series_block(trajectory, trajectory.frame(options.reference_frame),

@@ -7,7 +7,6 @@ namespace mdtask::kernels {
 const char* to_string(KernelPolicy policy) noexcept {
   switch (policy) {
     case KernelPolicy::kScalar: return "scalar";
-    case KernelPolicy::kBlocked: return "blocked";
     case KernelPolicy::kVectorized: return "vectorized";
   }
   return "unknown";
@@ -15,7 +14,6 @@ const char* to_string(KernelPolicy policy) noexcept {
 
 std::optional<KernelPolicy> parse_policy(std::string_view name) noexcept {
   if (name == "scalar") return KernelPolicy::kScalar;
-  if (name == "blocked") return KernelPolicy::kBlocked;
   if (name == "vectorized") return KernelPolicy::kVectorized;
   return std::nullopt;
 }
@@ -25,7 +23,7 @@ KernelPolicy default_policy() noexcept {
     if (const char* env = std::getenv("MDTASK_KERNEL_POLICY")) {
       if (auto parsed = parse_policy(env)) return *parsed;
     }
-    return KernelPolicy::kBlocked;
+    return KernelPolicy::kVectorized;
   }();
   return policy;
 }

@@ -5,10 +5,15 @@
 
 namespace mdtask::workflows {
 
-RmsdRunResult run_rmsd_series(EngineKind engine,
-                              const traj::Trajectory& trajectory,
-                              const RmsdRunConfig& config) {
-  if (trajectory.frames() == 0) return {};
+Result<RmsdRunResult> run_rmsd_series(EngineKind engine,
+                                      const traj::Trajectory& trajectory,
+                                      const RmsdRunConfig& config) {
+  if (auto status = analysis::check_reference_frame(trajectory,
+                                                    config.options);
+      !status) {
+    return status.error();
+  }
+  if (trajectory.frames() == 0) return RmsdRunResult{};
   // The per-frame observable rmsd_series_block evaluates, so the series
   // is bit-identical to the serial reference.
   const auto reference = trajectory.frame(config.options.reference_frame);
@@ -20,7 +25,7 @@ RmsdRunResult run_rmsd_series(EngineKind engine,
                          : analysis::frame_rmsd(frame, reference);
       },
       {.workers = config.workers, .frame_block = config.frame_block});
-  return {std::move(run.series), run.metrics};
+  return RmsdRunResult{std::move(run.series), run.metrics};
 }
 
 }  // namespace mdtask::workflows

@@ -171,14 +171,15 @@ TEST(PipelineTest, RmsdSeriesOnSelectedSubsetAcrossEngines) {
   ASSERT_TRUE(ca.ok());
   auto sub = traj::subset_trajectory(trajectory, ca.value());
   ASSERT_TRUE(sub.ok());
-  const auto reference = analysis::rmsd_series(sub.value());
+  const auto reference = analysis::rmsd_series(sub.value()).value();
   for (auto engine : {workflows::EngineKind::kMpi,
                       workflows::EngineKind::kSpark,
                       workflows::EngineKind::kDask,
                       workflows::EngineKind::kRp}) {
     const auto result =
         workflows::run_rmsd_series(engine, sub.value(), {});
-    EXPECT_EQ(result.series, reference);
+    ASSERT_TRUE(result.ok());
+    EXPECT_EQ(result.value().series, reference);
   }
 }
 

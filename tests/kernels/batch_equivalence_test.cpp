@@ -1,12 +1,15 @@
-// Property-based equivalence of the three KernelPolicy tiers.
+// Property-based equivalence of the two KernelPolicy tiers.
 //
 // Contract under test (mdtask/kernels/policy.h):
-//  * kBlocked reproduces kScalar bit-for-bit (same accumulation order).
-//  * kVectorized accumulates in single precision: values agree with
-//    kScalar to ~1e-6 relative (asserted at 1e-4 with headroom).
+//  * The kScalar pair sum reproduces the seed's frame_sumsq bit-for-bit.
+//  * kVectorized Hausdorff distances equal kScalar's bit-for-bit (the
+//    float lanes only filter; fast_tier_exactness_test.cpp stresses it).
+//  * kVectorized pair sums and rmsd2d cells accumulate in single
+//    precision: they agree with kScalar to ~1e-6 relative (asserted at
+//    1e-4 with headroom).
 //  * The cutoff kernel emits identical pair lists under every policy.
-//  * The blocked early-break Hausdorff never evaluates more frame pairs
-//    than the naive scan.
+//  * The tile-granular early-break Hausdorff never evaluates more frame
+//    pairs than the naive scan.
 #include "mdtask/kernels/batch.h"
 
 #include <gtest/gtest.h>
@@ -16,23 +19,30 @@
 #include <limits>
 #include <vector>
 
+#include "mdtask/analysis/rmsd.h"
 #include "mdtask/common/rng.h"
 #include "mdtask/traj/generators.h"
 
 namespace mdtask::kernels {
 namespace {
 
-/// Relative tolerance for the single-precision kVectorized tier; the
-/// periodic double drain bounds the true error near 1e-6.
+/// Relative tolerance for the single-precision kVectorized pair sums and
+/// rmsd2d cells; the periodic double drain bounds the true error near
+/// 1e-6.
 constexpr double kVecRelTol = 1e-4;
 
-FramePack make_pack(std::uint64_t seed, std::size_t frames,
-                    std::size_t atoms) {
+traj::Trajectory make_traj(std::uint64_t seed, std::size_t frames,
+                           std::size_t atoms) {
   traj::ProteinTrajectoryParams p;
   p.atoms = atoms;
   p.frames = frames;
   p.seed = seed;
-  return pack_trajectory(traj::make_protein_trajectory(p));
+  return traj::make_protein_trajectory(p);
+}
+
+FramePack make_pack(std::uint64_t seed, std::size_t frames,
+                    std::size_t atoms) {
+  return pack_trajectory(make_traj(seed, frames, atoms));
 }
 
 std::vector<traj::Vec3> make_cloud(std::uint64_t seed, std::size_t n,
@@ -52,18 +62,21 @@ const std::size_t kFrameSizes[] = {1, 2, kFrameTile - 1, kFrameTile,
                                    kFrameTile + 1, 37};
 const std::size_t kAtomSizes[] = {1, 3, 15, 16, 17, 61};
 
+// The kScalar pair sum is the confirmation sum of the fast Hausdorff
+// tier, so it must stay the seed's frame_sumsq, bit for bit.
 TEST(BatchEquivalenceTest, BlockedSumsqIsBitIdenticalToScalar) {
   std::uint64_t seed = 1;
   for (const std::size_t frames : kFrameSizes) {
     for (const std::size_t atoms : kAtomSizes) {
-      const auto a = make_pack(seed, frames, atoms);
-      const auto b = make_pack(seed + 1000, frames, atoms);
+      const auto ta = make_traj(seed, frames, atoms);
+      const auto tb = make_traj(seed + 1000, frames, atoms);
+      const auto a = pack_trajectory(ta);
+      const auto b = pack_trajectory(tb);
       ++seed;
       for (std::size_t i = 0; i < frames; ++i) {
         for (std::size_t j = 0; j < frames; ++j) {
-          EXPECT_DOUBLE_EQ(
-              frame_sumsq_packed(a, i, b, j, KernelPolicy::kScalar),
-              frame_sumsq_packed(a, i, b, j, KernelPolicy::kBlocked))
+          EXPECT_EQ(analysis::frame_sumsq(ta.frame(i), tb.frame(j)),
+                    frame_sumsq_packed(a, i, b, j, KernelPolicy::kScalar))
               << "frames " << frames << " atoms " << atoms;
         }
       }
@@ -99,32 +112,6 @@ TEST(BatchEquivalenceTest, SumsqSelfPairIsZeroUnderEveryPolicy) {
   }
 }
 
-TEST(BatchEquivalenceTest, OneToManyMatchesPerPairCalls) {
-  const auto a = make_pack(3, 9, 29);
-  const auto b = make_pack(4, 21, 29);
-  for (const auto policy : kAllPolicies) {
-    std::vector<double> sums(b.frames());
-    const std::size_t j0 = 2, j1 = 19;  // deliberately off-tile bounds
-    const double min_sumsq = sumsq_one_to_many(
-        a, 5, b, j0, j1, std::span(sums).subspan(0, j1 - j0), policy);
-    double expect_min = std::numeric_limits<double>::infinity();
-    for (std::size_t j = j0; j < j1; ++j) {
-      const double s = frame_sumsq_packed(a, 5, b, j, policy);
-      EXPECT_DOUBLE_EQ(sums[j - j0], s) << to_string(policy) << " j " << j;
-      expect_min = std::min(expect_min, s);
-    }
-    EXPECT_DOUBLE_EQ(min_sumsq, expect_min) << to_string(policy);
-  }
-}
-
-TEST(BatchEquivalenceTest, OneToManyEmptyRangeReturnsInfinity) {
-  const auto a = make_pack(5, 2, 8);
-  for (const auto policy : kAllPolicies) {
-    const double m = sumsq_one_to_many(a, 0, a, 1, 1, {}, policy);
-    EXPECT_TRUE(std::isinf(m)) << to_string(policy);
-  }
-}
-
 TEST(BatchEquivalenceTest, HausdorffBlockedMatchesScalarExactly) {
   std::uint64_t seed = 100;
   for (const std::size_t frames : kFrameSizes) {
@@ -132,26 +119,27 @@ TEST(BatchEquivalenceTest, HausdorffBlockedMatchesScalarExactly) {
     const auto b = make_pack(seed + 1, frames + 2, 24);
     ++seed;
     for (const bool early : {false, true}) {
-      EXPECT_DOUBLE_EQ(
-          hausdorff_packed(a, b, early, KernelPolicy::kScalar),
-          hausdorff_packed(a, b, early, KernelPolicy::kBlocked))
+      EXPECT_EQ(hausdorff_packed(a, b, early, KernelPolicy::kScalar),
+                hausdorff_packed(a, b, early, KernelPolicy::kVectorized))
           << "frames " << frames << " early " << early;
     }
   }
 }
 
 TEST(BatchEquivalenceTest, HausdorffVectorizedWithinTolerance) {
+  // Same contract on other seeds and odd atom counts: exact, not near.
   std::uint64_t seed = 200;
   for (const std::size_t frames : kFrameSizes) {
-    const auto a = make_pack(seed, frames, 24);
-    const auto b = make_pack(seed + 1, frames + 2, 24);
-    ++seed;
-    for (const bool early : {false, true}) {
-      const double ref = hausdorff_packed(a, b, early, KernelPolicy::kScalar);
-      const double vec =
-          hausdorff_packed(a, b, early, KernelPolicy::kVectorized);
-      EXPECT_NEAR(vec, ref, kVecRelTol * std::max(ref, 1.0))
-          << "frames " << frames << " early " << early;
+    for (const std::size_t atoms : kAtomSizes) {
+      const auto a = make_pack(seed, frames, atoms);
+      const auto b = make_pack(seed + 1, frames + 2, atoms);
+      ++seed;
+      for (const bool early : {false, true}) {
+        EXPECT_EQ(hausdorff_packed(a, b, early, KernelPolicy::kScalar),
+                  hausdorff_packed(a, b, early, KernelPolicy::kVectorized))
+            << "frames " << frames << " atoms " << atoms << " early "
+            << early;
+      }
     }
   }
 }
@@ -186,9 +174,14 @@ TEST(BatchEquivalenceTest, DirectedEarlyBreakEvalCountsAreTileGranular) {
   const auto a = make_pack(42, 37, 20);
   const auto b = make_pack(43, 41, 20);
   std::size_t evals = 0;
-  hausdorff_directed_packed(a, b, true, KernelPolicy::kBlocked, &evals);
+  hausdorff_directed_packed(a, b, true, KernelPolicy::kVectorized, &evals);
   EXPECT_LE(evals, 37u * 41u);
   EXPECT_GT(evals, 0u);
+  // Each row is charged whole tiles (or its ragged last tile).
+  std::size_t scalar_evals = 0;
+  hausdorff_directed_packed(a, b, true, KernelPolicy::kScalar,
+                            &scalar_evals);
+  EXPECT_GE(evals, scalar_evals);
 }
 
 TEST(BatchEquivalenceTest, Rmsd2dPoliciesAgree) {
@@ -199,12 +192,15 @@ TEST(BatchEquivalenceTest, Rmsd2dPoliciesAgree) {
       const auto b = make_pack(seed + 9, frames + 1, atoms);
       ++seed;
       const std::size_t n = a.frames() * b.frames();
-      std::vector<double> ref(n), blk(n), vec(n);
+      std::vector<double> ref(n), vec(n);
       rmsd2d_packed(a, b, KernelPolicy::kScalar, ref);
-      rmsd2d_packed(a, b, KernelPolicy::kBlocked, blk);
       rmsd2d_packed(a, b, KernelPolicy::kVectorized, vec);
       for (std::size_t k = 0; k < n; ++k) {
-        EXPECT_DOUBLE_EQ(blk[k], ref[k]) << "frames " << frames;
+        const std::size_t i = k / b.frames(), j = k % b.frames();
+        EXPECT_EQ(ref[k], std::sqrt(frame_sumsq_packed(
+                              a, i, b, j, KernelPolicy::kScalar) /
+                          static_cast<double>(atoms)))
+            << "frames " << frames;
         EXPECT_NEAR(vec[k], ref[k], kVecRelTol * std::max(ref[k], 1.0))
             << "frames " << frames;
       }
@@ -256,8 +252,9 @@ TEST(BatchEquivalenceTest, HausdorffParallelSingleWorkerFallsBackSerial) {
   const auto a = make_pack(31, kFrameTile, 12);
   const auto b = make_pack(32, kFrameTile, 12);
   EXPECT_DOUBLE_EQ(
-      hausdorff_packed_parallel(a, b, true, KernelPolicy::kBlocked, pool, 0),
-      hausdorff_packed(a, b, true, KernelPolicy::kBlocked));
+      hausdorff_packed_parallel(a, b, true, KernelPolicy::kVectorized, pool,
+                                0),
+      hausdorff_packed(a, b, true, KernelPolicy::kVectorized));
 }
 
 TEST(BatchEquivalenceTest, CutoffPairListsIdenticalAcrossPolicies) {
@@ -270,11 +267,9 @@ TEST(BatchEquivalenceTest, CutoffPairListsIdenticalAcrossPolicies) {
     const auto cols_cloud = make_cloud(900 + n, n + 3, 20.0);
     const auto rows = pack_points(rows_cloud);
     const auto cols = pack_points(cols_cloud);
-    std::vector<IndexPair> ref, blk, vec;
+    std::vector<IndexPair> ref, vec;
     cutoff_pairs_packed(rows, cols, 3.0, KernelPolicy::kScalar, ref);
-    cutoff_pairs_packed(rows, cols, 3.0, KernelPolicy::kBlocked, blk);
     cutoff_pairs_packed(rows, cols, 3.0, KernelPolicy::kVectorized, vec);
-    EXPECT_EQ(ref, blk) << "n " << n;
     EXPECT_EQ(ref, vec) << "n " << n;
     EXPECT_FALSE(ref.empty() && n > 200) << "degenerate fixture, n " << n;
   }

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "mdtask/analysis/balltree.h"
@@ -42,11 +43,10 @@ traj::Ensemble make_ensemble(std::size_t n, std::uint64_t seed = 1) {
 
 TEST(HausdorffPolicyTest, BlockedMatchesScalarExactly) {
   const auto a = make_traj(1), b = make_traj(2);
-  EXPECT_DOUBLE_EQ(hausdorff_naive(a, b, kernels::KernelPolicy::kScalar),
-                   hausdorff_naive(a, b, kernels::KernelPolicy::kBlocked));
-  EXPECT_DOUBLE_EQ(
-      hausdorff_early_break(a, b, kernels::KernelPolicy::kScalar),
-      hausdorff_early_break(a, b, kernels::KernelPolicy::kBlocked));
+  EXPECT_EQ(hausdorff_naive(a, b, kernels::KernelPolicy::kScalar),
+            hausdorff_naive(a, b, kernels::KernelPolicy::kVectorized));
+  EXPECT_EQ(hausdorff_early_break(a, b, kernels::KernelPolicy::kScalar),
+            hausdorff_early_break(a, b, kernels::KernelPolicy::kVectorized));
 }
 
 TEST(HausdorffPolicyTest, ScalarPolicyMatchesFrameMetricPath) {
@@ -66,28 +66,35 @@ TEST(HausdorffPolicyTest, ScalarPolicyMatchesFrameMetricPath) {
 
 TEST(HausdorffPolicyTest, VectorizedWithinTolerance) {
   const auto a = make_traj(5), b = make_traj(6);
-  const double ref = hausdorff_naive(a, b, kernels::KernelPolicy::kScalar);
-  const double vec =
-      hausdorff_naive(a, b, kernels::KernelPolicy::kVectorized);
-  EXPECT_NEAR(vec, ref, kVecRelTol * std::max(ref, 1.0));
+  EXPECT_EQ(hausdorff_naive(a, b, kernels::KernelPolicy::kScalar),
+            hausdorff_naive(a, b, kernels::KernelPolicy::kVectorized));
+}
+
+/// Bitwise equality of two distance matrices.
+void expect_matrices_identical(const DistanceMatrix& a,
+                               const DistanceMatrix& b) {
+  ASSERT_EQ(a.size(), b.size());
+  EXPECT_EQ(std::memcmp(a.data().data(), b.data().data(),
+                        a.data().size() * sizeof(double)),
+            0);
 }
 
 TEST(PsaPolicyTest, ReferenceMatrixIdenticalScalarVsBlocked) {
   const auto ensemble = make_ensemble(6);
   const auto scalar = psa_reference(ensemble, HausdorffKernel::kNaive,
                                     kernels::KernelPolicy::kScalar);
-  const auto blocked = psa_reference(ensemble, HausdorffKernel::kNaive,
-                                     kernels::KernelPolicy::kBlocked);
-  EXPECT_EQ(scalar.max_abs_diff(blocked), 0.0);
+  const auto vec = psa_reference(ensemble, HausdorffKernel::kNaive,
+                                 kernels::KernelPolicy::kVectorized);
+  expect_matrices_identical(scalar, vec);
 }
 
 TEST(PsaPolicyTest, VectorizedMatrixWithinTolerance) {
   const auto ensemble = make_ensemble(5);
-  const auto scalar = psa_reference(ensemble, HausdorffKernel::kNaive,
+  const auto scalar = psa_reference(ensemble, HausdorffKernel::kEarlyBreak,
                                     kernels::KernelPolicy::kScalar);
-  const auto vec = psa_reference(ensemble, HausdorffKernel::kNaive,
+  const auto vec = psa_reference(ensemble, HausdorffKernel::kEarlyBreak,
                                  kernels::KernelPolicy::kVectorized);
-  EXPECT_LE(vec.max_abs_diff(scalar), 1e-4);
+  expect_matrices_identical(scalar, vec);
 }
 
 TEST(PsaPolicyTest, ParallelMatchesReferenceUnderEveryPolicy) {

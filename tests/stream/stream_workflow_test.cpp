@@ -56,12 +56,18 @@ TEST_F(StreamWorkflowTest, PsaMatrixBitIdenticalOnEveryEngine) {
   input.trajectories = ensemble.size();
   PsaRunConfig config;
   config.workers = 3;
+  // The default (fast) kernel tier must also match the scalar oracle.
+  const auto oracle = analysis::psa_reference(
+      ensemble, analysis::HausdorffKernel::kNaive,
+      kernels::KernelPolicy::kScalar);
   for (const EngineKind engine : kEngines) {
     const PsaRunResult memory = run_psa(engine, ensemble, config);
     auto streamed = run_psa_streamed(engine, input, config);
     ASSERT_TRUE(streamed.ok())
         << to_string(engine) << ": " << streamed.error().to_string();
     EXPECT_EQ(streamed.value().matrix.data(), memory.matrix.data())
+        << to_string(engine);
+    EXPECT_EQ(streamed.value().matrix.data(), oracle.data())
         << to_string(engine);
     EXPECT_EQ(streamed.value().metrics.tasks, memory.metrics.tasks);
     EXPECT_GT(streamed.value().metrics.staged_bytes, 0u);

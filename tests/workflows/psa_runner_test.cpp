@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "mdtask/traj/generators.h"
 
 namespace mdtask::workflows {
@@ -37,6 +39,27 @@ TEST_P(PsaEngineTest, MatchesSerialReference) {
       << to_string(GetParam());
   EXPECT_GT(result.metrics.tasks, 0u);
   EXPECT_GT(result.metrics.wall_seconds, 0.0);
+}
+
+TEST_P(PsaEngineTest, DefaultPolicyMatrixIsBitIdenticalToScalar) {
+  // The default (fast) kernel tier must reproduce the scalar oracle's
+  // matrix bit for bit on every engine.
+  traj::ProteinTrajectoryParams p;
+  p.atoms = 33;
+  p.frames = 20;
+  const auto ensemble = traj::make_protein_ensemble(6, p);
+  const auto scalar = analysis::psa_reference(
+      ensemble, analysis::HausdorffKernel::kNaive,
+      kernels::KernelPolicy::kScalar);
+  PsaRunConfig config;
+  config.workers = 3;
+  ASSERT_EQ(config.kernel_policy, kernels::default_policy());
+  const auto result = run_psa(GetParam(), ensemble, config);
+  ASSERT_EQ(result.matrix.size(), scalar.size());
+  EXPECT_EQ(std::memcmp(result.matrix.data().data(), scalar.data().data(),
+                        scalar.data().size() * sizeof(double)),
+            0)
+      << to_string(GetParam());
 }
 
 TEST_P(PsaEngineTest, WorkerCountDoesNotChangeResult) {

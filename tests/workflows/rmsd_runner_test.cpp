@@ -28,10 +28,10 @@ class RmsdEngineTest : public ::testing::TestWithParam<EngineKind> {};
 
 TEST_P(RmsdEngineTest, MatchesSerialReference) {
   const auto t = make_traj();
-  const auto want = analysis::rmsd_series(t);
+  const auto want = analysis::rmsd_series(t).value();
   RmsdRunConfig config;
   config.workers = 3;
-  const auto result = run_rmsd_series(GetParam(), t, config);
+  const auto result = run_rmsd_series(GetParam(), t, config).value();
   EXPECT_EQ(result.series, want);
   EXPECT_GT(result.metrics.tasks, 1u);
 }
@@ -41,10 +41,10 @@ TEST_P(RmsdEngineTest, SuperposedVariantMatches) {
   analysis::RmsdSeriesOptions options;
   options.superpose = true;
   options.reference_frame = 3;
-  const auto want = analysis::rmsd_series(t, options);
+  const auto want = analysis::rmsd_series(t, options).value();
   RmsdRunConfig config;
   config.options = options;
-  const auto result = run_rmsd_series(GetParam(), t, config);
+  const auto result = run_rmsd_series(GetParam(), t, config).value();
   EXPECT_EQ(result.series, want);
 }
 
@@ -52,9 +52,18 @@ TEST_P(RmsdEngineTest, ExplicitBlockSizeControlsTaskCount) {
   const auto t = make_traj(30);
   RmsdRunConfig config;
   config.frame_block = 7;  // ceil(30/7) = 5 tasks
-  const auto result = run_rmsd_series(GetParam(), t, config);
+  const auto result = run_rmsd_series(GetParam(), t, config).value();
   EXPECT_EQ(result.metrics.tasks, 5u);
-  EXPECT_EQ(result.series, analysis::rmsd_series(t));
+  EXPECT_EQ(result.series, analysis::rmsd_series(t).value());
+}
+
+TEST_P(RmsdEngineTest, OutOfRangeReferenceFrameIsInvalidArgument) {
+  const auto t = make_traj(4);
+  RmsdRunConfig config;
+  config.options.reference_frame = 10;
+  const auto result = run_rmsd_series(GetParam(), t, config);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error().code(), ErrorCode::kInvalidArgument);
 }
 
 INSTANTIATE_TEST_SUITE_P(Engines, RmsdEngineTest,
@@ -68,7 +77,7 @@ INSTANTIATE_TEST_SUITE_P(Engines, RmsdEngineTest,
 
 TEST(RmsdRunnerTest, EmptyTrajectoryYieldsEmptySeries) {
   const traj::Trajectory empty;
-  const auto result = run_rmsd_series(EngineKind::kDask, empty, {});
+  const auto result = run_rmsd_series(EngineKind::kDask, empty, {}).value();
   EXPECT_TRUE(result.series.empty());
 }
 
