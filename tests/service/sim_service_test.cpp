@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "mdtask/trace/chrome_export.h"
 
 namespace mdtask::service {
@@ -218,6 +223,58 @@ TEST(SimServiceReliabilityTest, ChaosRunsAreByteIdenticalPerSeed) {
   EXPECT_GT(a.retries, 0u);
   ASSERT_GT(log_a.size(), 0u);
   EXPECT_EQ(log_a.canonical(), log_b.canonical());
+}
+
+/// The canonical event log plus the canonical RecoveryLog of one run,
+/// one line each, under a header naming the scenario.
+std::string golden_section(const char* name, ServiceSimConfig config) {
+  fault::RecoveryLog recovery;
+  config.recovery_log = &recovery;
+  const ServiceSimReport report = simulate_service(config);
+  std::string text = std::string("=== ") + name + " ===\n";
+  for (const std::string& line : report.log) text += line + "\n";
+  text += "--- recovery log ---\n";
+  for (const std::string& line : recovery.canonical()) text += line + "\n";
+  return text;
+}
+
+/// chaos_config(true) as is, and a pressured variant (wide key space,
+/// four servers, 100 ms batch window, breakers on) whose log carries
+/// brownout sheds, deadline reaps, retries and a winning hedge.
+std::string chaos_golden_text() {
+  ServiceSimConfig pressured = chaos_config(/*reliable=*/true);
+  pressured.traffic.param_variants = 100;
+  pressured.servers = 4;
+  pressured.service.batch.max_delay_s = 0.1;
+  pressured.service.reliability.breaker.enabled = true;
+  return golden_section("chaos", chaos_config(/*reliable=*/true)) +
+         golden_section("pressured", pressured);
+}
+
+// Golden bytes of the DES under chaos with every reliability mechanism
+// on: a deterministic change to serving behaviour shows up as a diff
+// here, not only as a run-vs-run mismatch. Regenerate with
+//   MDTASK_UPDATE_GOLDEN=1 ./service_test --gtest_filter='*Golden*'
+// after an intentional behaviour change, and review the diff.
+TEST(SimServiceReliabilityTest, ChaosLogMatchesGoldenBytes) {
+  constexpr const char* kGoldenPath =
+      MDTASK_TEST_SOURCE_DIR "/service/golden/des_chaos_log.txt";
+  const std::string actual = chaos_golden_text();
+
+  if (std::getenv("MDTASK_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(kGoldenPath, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << kGoldenPath;
+    out << actual;
+    GTEST_SKIP() << "golden file regenerated at " << kGoldenPath;
+  }
+
+  std::ifstream in(kGoldenPath, std::ios::binary);
+  ASSERT_TRUE(in.good())
+      << "missing golden file " << kGoldenPath
+      << " — regenerate with MDTASK_UPDATE_GOLDEN=1";
+  std::stringstream golden;
+  golden << in.rdbuf();
+  EXPECT_EQ(actual, golden.str());
 }
 
 TEST(SimServiceReliabilityTest, ReliabilityOnBeatsOffForInteractiveSlo) {
