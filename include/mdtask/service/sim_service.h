@@ -59,12 +59,8 @@ struct ServiceSimConfig {
   bool autoscale_enabled = false;
   autoscale::TargetUtilizationPolicy::Config autoscale;
   double tick_interval_s = 0.5;
-  /// Mirror arrivals into the log (off: only rejects, dispatches,
-  /// completions and scale events are logged).
-  bool log_arrivals = false;
   /// Mirror engine-job spans and service:* counters (virtual time).
   trace::Tracer* tracer = nullptr;
-  std::uint32_t trace_pid = 40;
   /// Mirror chaos-failure / recovery decisions (scope kService) — the
   /// live service writes byte-identical canonical lines for the same
   /// chaos seed (the determinism tests diff the two).

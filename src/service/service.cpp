@@ -15,8 +15,10 @@ bool needs_timer(const ServiceConfig& config) noexcept {
          config.reliability.hedge.enabled;
 }
 
-Error deadline_error(const char* stage) {
-  return Error(ErrorCode::kDeadlineExceeded, stage);
+void sleep_s(double seconds) {
+  if (seconds > 0.0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  }
 }
 
 }  // namespace
@@ -26,15 +28,8 @@ AnalysisService::AnalysisService(ServiceConfig config, ThreadPool& pool,
     : config_(config),
       pool_(pool),
       executor_(std::move(executor)),
-      admission_(config.admission),
-      scheduler_(config.fair_share),
-      cache_(config.cache),
-      batcher_(config.batch),
-      chaos_(config.chaos),
-      breakers_(config.reliability.breaker),
-      degradation_(config.reliability.brownout),
-      job_latency_(256),
       epoch_(std::chrono::steady_clock::now()),
+      pipeline_(config_),
       dispatcher_([this] { dispatcher_loop(); }),
       timer_(needs_timer(config_) ? std::thread([this] { timer_loop(); })
                                   : std::thread()) {}
@@ -44,6 +39,7 @@ AnalysisService::~AnalysisService() {
     std::lock_guard lk(mu_);
     stopping_ = true;
     signal_ = true;
+    pipeline_.close();
   }
   cv_.notify_all();
   timer_cv_.notify_all();
@@ -54,8 +50,9 @@ AnalysisService::~AnalysisService() {
   // runner (primary or hedge, winner or loser) left run_job — a loser
   // must never touch a dead service.
   std::unique_lock lk(mu_);
-  drain_cv_.wait(lk,
-                 [this] { return outstanding_ == 0 && active_runners_ == 0; });
+  drain_cv_.wait(lk, [this] {
+    return pipeline_.outstanding() == 0 && active_runners_ == 0;
+  });
 }
 
 double AnalysisService::now_s() const {
@@ -65,452 +62,176 @@ double AnalysisService::now_s() const {
 }
 
 std::future<CachedResult> AnalysisService::submit(AnalysisRequest request) {
-  request.id = next_ticket_.fetch_add(1, std::memory_order_relaxed) + 1;
-  const ReliabilityConfig& rel = config_.reliability;
-  // Brownout L1, cheapest first: best-effort traffic is shed before it
-  // reserves anything.
-  if (rel.brownout.enabled &&
-      request.tenant_class == TenantClass::kBestEffort &&
-      degradation_.level() >= BrownoutLevel::kShedBestEffort) {
-    brownout_shed_.fetch_add(1, std::memory_order_relaxed);
-    std::promise<CachedResult> shed;
-    shed.set_value(CachedResult(Error(
-        ErrorCode::kOverloaded, "brownout: shedding best-effort traffic")));
-    return shed.get_future();
-  }
-  const Status admitted = admission_.admit(request);
-  if (!admitted.ok()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    std::promise<CachedResult> shed;
-    shed.set_value(CachedResult(admitted.error()));
-    return shed.get_future();
-  }
-  // Breaker AFTER admission: every allow() is balanced by exactly one
-  // record() in finish(), because every admitted request finishes once.
-  if (!breakers_.allow(request.tenant_class, request.family, now_s())) {
-    admission_.release(request);
-    circuit_rejected_.fetch_add(1, std::memory_order_relaxed);
-    std::promise<CachedResult> open;
-    open.set_value(CachedResult(
-        Error(ErrorCode::kCircuitOpen,
-              std::string("circuit open for ") +
-                  to_string(request.tenant_class) + "/" +
-                  to_string(request.family))));
-    return open.get_future();
-  }
-  // The submitted deadline_s is a RELATIVE budget; it becomes an
-  // ABSOLUTE service-clock deadline here, at admission.
-  if (const double budget = deadline_budget_s(rel.deadline, request);
-      budget > 0.0) {
-    request.deadline_s = now_s() + budget;
-  } else {
-    request.deadline_s = 0.0;
-  }
-  auto pending = std::make_shared<Pending>();
-  pending->request = request;
-  std::future<CachedResult> fut = pending->promise.get_future();
+  std::promise<CachedResult> promise;
+  std::future<CachedResult> future = promise.get_future();
+  bool has_deadline = false;
   {
     std::lock_guard lk(mu_);
-    if (stopping_) {
-      admission_.release(request);
-      breakers_.record(request.tenant_class, request.family, false, now_s());
-      rejected_.fetch_add(1, std::memory_order_relaxed);
-      pending->promise.set_value(CachedResult(
-          Error(ErrorCode::kUnavailable, "service is shutting down")));
-      return fut;
+    request.id = ++next_ticket_;
+    const std::uint64_t id = request.id;
+    ServicePipeline::Admission admission =
+        pipeline_.admit(std::move(request), now_s());
+    if (admission.error) {
+      promise.set_value(CachedResult(std::move(*admission.error)));
+      return future;
     }
-    pending_by_id_[request.id] = std::move(pending);
-    ++outstanding_;
-  }
-  scheduler_.push(std::move(request));
-  // signal_ is raised AFTER the push: a dispatcher that consumed an
-  // earlier signal and found the scheduler still empty re-checks once
-  // this one lands, so the wakeup cannot be lost.
-  {
-    std::lock_guard lk(mu_);
+    promises_.emplace(id, std::move(promise));
+    has_deadline = admission.deadline_s > 0.0;
     signal_ = true;
-    if (rel.deadline.enabled) timer_signal_ = true;
+    timer_signal_ = timer_signal_ || has_deadline;
   }
   cv_.notify_one();
-  if (rel.deadline.enabled) timer_cv_.notify_one();
-  return fut;
+  if (has_deadline) timer_cv_.notify_one();
+  return future;
 }
 
-void AnalysisService::finish(PendingPtr pending, CachedResult result,
-                             std::vector<Completion>* completions) {
-  admission_.release(pending->request);
-  breakers_.record(pending->request.tenant_class, pending->request.family,
-                   result.ok(), now_s());
-  pending_by_id_.erase(pending->request.id);
-  completed_.fetch_add(1, std::memory_order_relaxed);
-  if (outstanding_ > 0) --outstanding_;
-  completions->push_back(Completion{std::move(pending), std::move(result)});
+AnalysisService::Completions AnalysisService::take(
+    std::vector<Resolution> resolved) {
+  Completions completions;
+  for (Resolution& resolution : resolved) {
+    const auto it = promises_.find(resolution.request.id);
+    completions.emplace_back(std::move(it->second),
+                             std::move(resolution.result));
+    promises_.erase(it);
+  }
+  // Notify while holding mu_: the drain()/destructor waiter cannot
+  // leave its wait (and destroy drain_cv_) before this thread releases
+  // the lock, so the notify never touches a dying object.
+  if (!completions.empty() && pipeline_.outstanding() == 0) {
+    drain_cv_.notify_all();
+  }
+  return completions;
 }
 
-void AnalysisService::complete_all(std::vector<Completion> completions) {
-  for (Completion& c : completions) {
-    c.pending->promise.set_value(std::move(c.result));
+void AnalysisService::complete(Completions completions) {
+  for (auto& [promise, result] : completions) {
+    promise.set_value(std::move(result));
   }
 }
 
-void AnalysisService::route(AnalysisRequest request,
-                            std::vector<Completion>* completions,
-                            std::vector<EngineJob>* jobs) {
-  const RequestKey key = request_key(request);
-  std::lock_guard lk(mu_);
-  const auto it = pending_by_id_.find(request.id);
-  if (it == pending_by_id_.end()) return;  // already resolved (reaped)
-  PendingPtr pending = it->second;
-  const ResultCache::Lookup lookup = cache_.lookup_or_join(key);
-  switch (lookup.outcome) {
-    case ResultCache::Outcome::kHit:
-      finish(std::move(pending), lookup.future.get(), completions);
-      return;
-    case ResultCache::Outcome::kJoined:
-      joiners_[key].push_back(std::move(pending));
-      return;
-    case ResultCache::Outcome::kMiss:
-      // Brownout L3: answer from a stale same-analysis entry instead of
-      // computing. The just-created in-flight slot is resolved with an
-      // error so the key stays uncached and unpoisoned — no joiner can
-      // exist yet, every cache access runs under mu_.
-      if (config_.reliability.brownout.enabled &&
-          degradation_.level() >= BrownoutLevel::kServeStale) {
-        if (auto stale = cache_.lookup_stale(key)) {
-          cache_.fulfill(key,
-                         CachedResult(Error(
-                             ErrorCode::kUnavailable,
-                             "brownout: stale-served, compute cancelled")));
-          stale_served_.fetch_add(1, std::memory_order_relaxed);
-          finish(std::move(pending), CachedResult(std::move(stale)),
-                 completions);
-          return;
-        }
-      }
-      if (auto job = batcher_.add(std::move(request), now_s())) {
-        jobs->push_back(std::move(*job));
-      }
-      return;
-  }
-}
-
-void AnalysisService::dispatch_job(EngineJob job) {
-  const ReliabilityConfig& rel = config_.reliability;
-  std::vector<Completion> expirations;
-  if (rel.deadline.enabled) {
-    // Fail-fast strip: a member that is overdue (or whose owner the
-    // reaper already resolved) and that nobody joined never reaches the
-    // executor; its in-flight cache slot resolves with the deadline
-    // error so later lookups get a fresh miss.
-    std::lock_guard lk(mu_);
-    const double now = now_s();
-    auto& members = job.requests;
-    for (auto it = members.begin(); it != members.end();) {
-      const RequestKey key = request_key(*it);
-      const auto owner = pending_by_id_.find(it->id);
-      const bool owner_alive = owner != pending_by_id_.end();
-      const bool expired = it->deadline_s > 0.0 && now >= it->deadline_s;
-      if ((owner_alive && !expired) || joiners_.contains(key)) {
-        ++it;
-        continue;
-      }
-      cache_.fulfill(key, CachedResult(
-                              deadline_error("deadline passed in batch")));
-      if (owner_alive) {
-        deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        finish(owner->second,
-               CachedResult(deadline_error("deadline passed in batch")),
-               &expirations);
-      }
-      it = members.erase(it);
-    }
-    if (outstanding_ == 0 && !expirations.empty()) drain_cv_.notify_all();
-  }
-  complete_all(std::move(expirations));
-  if (job.requests.empty()) return;
-
-  engine_jobs_.fetch_add(1, std::memory_order_relaxed);
-  auto state = std::make_shared<JobState>();
-  state->job = std::move(job);
-  state->chaos_id =
-      chaos_.enabled() ? chaos_job_id(state->job) : state->job.job_id;
-  state->dispatched_at_s = now_s();
-  {
-    std::lock_guard lk(mu_);
-    if (rel.hedge.enabled) {
-      if (const auto delay = hedge_delay_s(
-              rel.hedge, job_latency_.snapshot(state->dispatched_at_s))) {
-        state->hedge_at_s = state->dispatched_at_s + *delay;
-        inflight_jobs_[state->job.job_id] = state;
-        timer_signal_ = true;
-      }
-    }
-    ++active_runners_;
-  }
-  if (state->hedge_at_s > 0.0) timer_cv_.notify_one();
-  pool_.post_shared([this, state] { run_job(state, /*is_hedge=*/false); });
-}
-
-Result<std::vector<ResultPayload>> AnalysisService::run_attempts(
-    const JobPtr& state, bool is_hedge) {
-  const ReliabilityConfig& rel = config_.reliability;
-  const EngineJob& job = state->job;
-  fault::RetryPolicy policy = rel.retry.policy;
-  if (!rel.retry.enabled) policy.max_attempts = 1;
-  const int attempts = std::max(1, policy.max_attempts);
-  const int base = is_hedge ? kHedgeAttemptBase : 0;
+void AnalysisService::run_job(const JobPtr& job, bool is_hedge) {
   Result<std::vector<ResultPayload>> result =
       Error(ErrorCode::kInternal, "no attempt ran");
-  for (int i = 0; i < attempts; ++i) {
-    if (job.deadline_s > 0.0 && now_s() >= job.deadline_s) {
-      return deadline_error("job deadline passed before attempt");
+  for (int i = 0;; ++i) {
+    ServicePipeline::AttemptStart start;
+    {
+      std::lock_guard lk(mu_);
+      start = pipeline_.begin_attempt(*job, i, is_hedge, now_s());
     }
-    if (i > 0) {
-      retries_.fetch_add(1, std::memory_order_relaxed);
-      const double backoff = fault::backoff_for_attempt(policy, i);
-      if (backoff > 0.0) {
-        std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
-      }
-      // First-completion-wins: a loser whose sibling already resolved
-      // the job stops burning executor capacity on retries.
-      if (state->resolved.load(std::memory_order_relaxed)) {
-        return Error(ErrorCode::kCancelled, "job resolved by sibling runner");
-      }
+    if (!start.run) {
+      if (start.failure) result = std::move(*start.failure);
+      break;
     }
-    const ChaosOutcome chaos = chaos_.decide(state->chaos_id, base + i);
-    if (chaos.delay_s > 0.0) {
-      chaos_delays_.fetch_add(1, std::memory_order_relaxed);
-      std::this_thread::sleep_for(
-          std::chrono::duration<double>(chaos.delay_s));
-    }
-    if (chaos.fails()) {
-      chaos_failures_.fetch_add(1, std::memory_order_relaxed);
-      if (fault::RecoveryLog* log =
-              recovery_log_.load(std::memory_order_acquire);
-          log != nullptr) {
-        fault::RecoveryEvent event;
-        event.engine = fault::EngineId::kService;
-        event.task_id = state->chaos_id;
-        event.attempt = base + i;
-        event.fault = chaos.kind;
-        // The action reflects this runner's budget position `i`; the
-        // DES twin computes the identical line for the same seed.
-        event.action = fault::recovery_action(fault::EngineId::kService,
-                                              chaos.kind, i, policy);
-        event.backoff_s = fault::backoff_for_attempt(policy, i + 1);
-        event.ts_us = now_s() * 1e6;
-        log->record(event);
-      }
+    sleep_s(start.chaos.delay_s);
+    if (start.chaos.fails()) {
+      const int attempt = (is_hedge ? kHedgeAttemptBase : 0) + i;
       result = Error(ErrorCode::kUnavailable, "chaos: injected fault")
-                   .with_task({"service", state->chaos_id, base + i,
-                               fault::to_string(chaos.kind)});
-      continue;
+                   .with_task({"service", job->chaos_id, attempt,
+                               fault::to_string(start.chaos.kind)});
+    } else {
+      result = executor_(job->job);
     }
-    result = executor_(job);
-    if (result.ok()) return result;
+    ServicePipeline::AttemptEnd end;
+    {
+      std::lock_guard lk(mu_);
+      end = pipeline_.end_attempt(*job, i, is_hedge, start.chaos,
+                                  result.ok(), now_s());
+    }
+    if (fault::RecoveryLog* log =
+            recovery_log_.load(std::memory_order_acquire);
+        end.event && log != nullptr) {
+      log->record(*end.event);
+    }
+    if (!end.retry) break;
+    sleep_s(end.backoff_s);
   }
-  return result;
-}
-
-void AnalysisService::run_job(const JobPtr& state, bool is_hedge) {
-  const EngineJob& job = state->job;
-  Result<std::vector<ResultPayload>> result = run_attempts(state, is_hedge);
-  if (result.ok() && result.value().size() != job.requests.size()) {
-    result = Error(ErrorCode::kInternal,
-                   "executor returned " +
-                       std::to_string(result.value().size()) +
-                       " payloads for " +
-                       std::to_string(job.requests.size()) + " requests");
-  }
-  // First completion wins; the loser's result is dropped untouched.
-  const bool winner = !state->resolved.exchange(true);
-  if (winner) {
-    job_latency_.record_task_duration(now_s() - state->dispatched_at_s);
-    if (is_hedge) hedge_wins_.fetch_add(1, std::memory_order_relaxed);
-  }
-  std::vector<Completion> completions;
+  Completions completions;
   {
     std::lock_guard lk(mu_);
-    if (winner) {
-      inflight_jobs_.erase(job.job_id);
-      for (std::size_t i = 0; i < job.requests.size(); ++i) {
-        const AnalysisRequest& request = job.requests[i];
-        const RequestKey key = request_key(request);
-        CachedResult outcome =
-            result.ok()
-                ? CachedResult(std::make_shared<const ResultPayload>(
-                      std::move(result.value()[i])))
-                : CachedResult(result.error());
-        // Fulfill BEFORE draining joiners, both under mu_: a concurrent
-        // route() either joined before (drained here) or looks up after
-        // (sees the cached entry / a fresh miss on error).
-        cache_.fulfill(key, outcome);
-        const auto owner = pending_by_id_.find(request.id);
-        if (owner != pending_by_id_.end()) {
-          finish(owner->second, outcome, &completions);
-        }
-        const auto joined = joiners_.find(key);
-        if (joined != joiners_.end()) {
-          std::vector<PendingPtr> waiters = std::move(joined->second);
-          joiners_.erase(joined);
-          for (PendingPtr& waiter : waiters) {
-            finish(std::move(waiter), outcome, &completions);
-          }
-        }
-      }
+    if (auto resolved =
+            pipeline_.finish_job(*job, std::move(result), now_s(), is_hedge)) {
+      completions = take(std::move(*resolved));
     }
-    if (active_runners_ > 0) --active_runners_;
-    // Notify while holding mu_: the drain()/destructor waiter cannot
-    // leave its wait (and destroy drain_cv_) before this thread
-    // releases the lock, so the notify never touches a dying object.
-    if (outstanding_ == 0 || active_runners_ == 0) drain_cv_.notify_all();
+    if (--active_runners_ == 0) drain_cv_.notify_all();
   }
-  complete_all(std::move(completions));
+  complete(std::move(completions));
 }
 
 void AnalysisService::timer_loop() {
-  constexpr double kForever = std::numeric_limits<double>::infinity();
   std::unique_lock lk(mu_);
-  for (;;) {
-    if (stopping_) return;
-    const double now = now_s();
-    double next_wake = kForever;
-    std::vector<Completion> expirations;
-    std::vector<JobPtr> to_hedge;
-    if (config_.reliability.deadline.enabled) {
-      // Reap every overdue future NOW: a pending request never blocks
-      // past its deadline, wherever it sits (scheduler queue, open
-      // batch, joiner list, running job).
-      for (auto it = pending_by_id_.begin(); it != pending_by_id_.end();) {
-        PendingPtr pending = it->second;
-        ++it;  // advance first: finish() erases this entry
-        const double deadline = pending->request.deadline_s;
-        if (deadline <= 0.0) continue;
-        if (now < deadline) {
-          next_wake = std::min(next_wake, deadline);
-          continue;
-        }
-        const RequestKey key = request_key(pending->request);
-        const auto joined = joiners_.find(key);
-        if (joined != joiners_.end()) {
-          // A reaped joiner must leave the joiner list, or the owning
-          // job would resolve (and double-complete) it later.
-          auto& waiters = joined->second;
-          waiters.erase(
-              std::remove_if(waiters.begin(), waiters.end(),
-                             [&](const PendingPtr& p) {
-                               return p->request.id == pending->request.id;
-                             }),
-              waiters.end());
-          if (waiters.empty()) joiners_.erase(joined);
-        }
-        deadline_expired_.fetch_add(1, std::memory_order_relaxed);
-        finish(std::move(pending),
-               CachedResult(deadline_error("deadline exceeded")),
-               &expirations);
-      }
-      if (outstanding_ == 0 && !expirations.empty()) {
-        drain_cv_.notify_all();
-      }
-    }
-    if (config_.reliability.hedge.enabled) {
-      for (auto& [id, state] : inflight_jobs_) {
-        if (state->hedged || state->hedge_at_s <= 0.0 ||
-            state->resolved.load(std::memory_order_relaxed)) {
-          continue;
-        }
-        if (now < state->hedge_at_s) {
-          next_wake = std::min(next_wake, state->hedge_at_s);
-          continue;
-        }
-        state->hedged = true;
-        hedges_.fetch_add(1, std::memory_order_relaxed);
-        ++active_runners_;
-        to_hedge.push_back(state);
-      }
-    }
-    lk.unlock();
-    for (const JobPtr& state : to_hedge) {
-      pool_.post_shared([this, state] { run_job(state, /*is_hedge=*/true); });
-    }
-    complete_all(std::move(expirations));
-    lk.lock();
-    if (stopping_) return;
-    if (timer_signal_) {
-      timer_signal_ = false;  // new work arrived while unlocked: rescan
-      continue;
-    }
-    if (next_wake == kForever) {
-      timer_cv_.wait(lk, [this] { return timer_signal_ || stopping_; });
-    } else {
-      const double wait_s = std::max(0.0, next_wake - now_s());
-      timer_cv_.wait_for(lk, std::chrono::duration<double>(wait_s),
-                         [this] { return timer_signal_ || stopping_; });
-    }
+  while (!stopping_) {
     timer_signal_ = false;
+    ServicePipeline::TimerStep step = pipeline_.timer_step(now_s());
+    active_runners_ += step.hedges.size();
+    Completions completions = take(std::move(step.expired));
+    lk.unlock();
+    for (const JobPtr& job : step.hedges) {
+      pool_.post_shared([this, job] { run_job(job, /*is_hedge=*/true); });
+    }
+    complete(std::move(completions));
+    lk.lock();
+    // New work that arrived while unlocked raised timer_signal_: the
+    // predicate holds at once and the loop rescans.
+    const auto woken = [this] { return timer_signal_ || stopping_; };
+    if (step.next_wake_s == std::numeric_limits<double>::infinity()) {
+      timer_cv_.wait(lk, woken);
+    } else {
+      const double wait_s = std::max(0.0, step.next_wake_s - now_s());
+      timer_cv_.wait_for(lk, std::chrono::duration<double>(wait_s), woken);
+    }
   }
 }
 
 void AnalysisService::dispatcher_loop() {
-  const ReliabilityConfig& rel = config_.reliability;
+  std::unique_lock lk(mu_);
   for (;;) {
-    if (rel.brownout.enabled) {
-      std::size_t pressure = 0;
-      {
-        std::lock_guard lk(mu_);
-        pressure = outstanding_;
-      }
-      degradation_.update(pressure, breakers_.open_cells(now_s()));
-    }
-    std::vector<Completion> completions;
+    signal_ = false;
+    pipeline_.observe_pressure(now_s());
+    std::vector<Resolution> resolved;
     std::vector<EngineJob> jobs;
-    AnalysisRequest request;
-    while (scheduler_.pop(&request)) {
-      route(std::move(request), &completions, &jobs);
+    while (std::optional<ServicePipeline::Routed> routed =
+               pipeline_.route_next(now_s())) {
+      if (routed->resolution) {
+        resolved.push_back(std::move(*routed->resolution));
+      }
+      if (routed->job) jobs.push_back(std::move(*routed->job));
     }
-    for (EngineJob& job : batcher_.due(now_s())) {
+    for (EngineJob& job : pipeline_.due(now_s())) {
       jobs.push_back(std::move(job));
     }
-    bool exit_after_flush = false;
-    bool flush_now = false;
-    {
-      std::lock_guard lk(mu_);
-      const bool idle = scheduler_.queued() == 0;
-      exit_after_flush = stopping_ && idle;
-      // While a drain() is waiting, every pass force-flushes open
-      // batches: nothing may sit out a delay window. Brownout L2 does
-      // the same under pressure — the delay window shrinks to zero.
-      flush_now = idle && (stopping_ || draining_ > 0);
+    // While a drain() is waiting, and at shutdown, every pass
+    // force-flushes open batches: nothing may sit out a delay window.
+    const bool exiting = stopping_;
+    for (EngineJob& job : pipeline_.flush(exiting || draining_ > 0)) {
+      jobs.push_back(std::move(job));
     }
-    if (!flush_now && rel.brownout.enabled &&
-        degradation_.level() >= BrownoutLevel::kShrinkBatch) {
-      flush_now = true;
-    }
-    if (flush_now) {
-      for (EngineJob& job : batcher_.flush_all()) {
-        jobs.push_back(std::move(job));
+    std::vector<JobPtr> started;
+    bool hedge_armed = false;
+    for (EngineJob& job : jobs) {
+      if (JobPtr run =
+              pipeline_.start_job(std::move(job), now_s(), &resolved)) {
+        hedge_armed = hedge_armed || run->hedge_at_s > 0.0;
+        started.push_back(std::move(run));
       }
     }
-    const bool completed_any = !completions.empty();
-    complete_all(std::move(completions));
-    for (EngineJob& job : jobs) dispatch_job(std::move(job));
-    if (completed_any) drain_cv_.notify_all();
-    if (exit_after_flush && scheduler_.queued() == 0) return;
-
-    std::unique_lock lk(mu_);
-    if (signal_ || stopping_ || scheduler_.queued() > 0) {
-      signal_ = false;
-      continue;
+    active_runners_ += started.size();
+    timer_signal_ = timer_signal_ || hedge_armed;
+    Completions completions = take(std::move(resolved));
+    lk.unlock();
+    if (hedge_armed) timer_cv_.notify_one();
+    for (const JobPtr& job : started) {
+      pool_.post_shared([this, job] { run_job(job, /*is_hedge=*/false); });
     }
-    const auto deadline = batcher_.next_deadline();
-    if (deadline.has_value()) {
-      const double wait_s = std::max(0.0, *deadline - now_s());
-      cv_.wait_for(lk, std::chrono::duration<double>(wait_s),
-                   [this] { return signal_ || stopping_; });
+    complete(std::move(completions));
+    lk.lock();
+    if (exiting) return;
+    const auto woken = [this] { return signal_ || stopping_; };
+    if (const auto flush_at = pipeline_.next_flush()) {
+      const double wait_s = std::max(0.0, *flush_at - now_s());
+      cv_.wait_for(lk, std::chrono::duration<double>(wait_s), woken);
     } else {
-      cv_.wait(lk, [this] { return signal_ || stopping_; });
+      cv_.wait(lk, woken);
     }
-    signal_ = false;
   }
 }
 
@@ -518,20 +239,17 @@ void AnalysisService::drain() {
   // The dispatcher does the flushing (it may still hold requests that
   // have not reached the batcher yet); draining_ > 0 makes it flush
   // open batches on every pass until everything resolved.
-  {
-    std::lock_guard lk(mu_);
-    ++draining_;
-    signal_ = true;
-  }
-  cv_.notify_all();
   std::unique_lock lk(mu_);
-  drain_cv_.wait(lk, [this] { return outstanding_ == 0; });
+  ++draining_;
+  signal_ = true;
+  cv_.notify_all();
+  drain_cv_.wait(lk, [this] { return pipeline_.outstanding() == 0; });
   --draining_;
 }
 
 std::size_t AnalysisService::invalidate_store(std::uint64_t fingerprint) {
   std::lock_guard lk(mu_);
-  return cache_.invalidate_store(fingerprint);
+  return pipeline_.invalidate_store(fingerprint);
 }
 
 std::size_t AnalysisService::ingest_store(const std::string& path,
@@ -541,7 +259,7 @@ std::size_t AnalysisService::ingest_store(const std::string& path,
   if (inserted || it->second == fingerprint) return 0;
   const std::uint64_t stale = it->second;
   it->second = fingerprint;
-  return cache_.invalidate_store(stale);
+  return pipeline_.invalidate_store(stale);
 }
 
 std::size_t AnalysisService::ingest_store(
@@ -554,24 +272,8 @@ void AnalysisService::set_recovery_log(fault::RecoveryLog* log) {
 }
 
 AnalysisService::Stats AnalysisService::stats() const {
-  Stats out;
-  out.admission = admission_.stats();
-  out.cache = cache_.stats();
-  out.breaker = breakers_.stats();
-  out.engine_jobs = engine_jobs_.load(std::memory_order_relaxed);
-  out.completed = completed_.load(std::memory_order_relaxed);
-  out.rejected = rejected_.load(std::memory_order_relaxed);
-  out.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
-  out.circuit_rejected = circuit_rejected_.load(std::memory_order_relaxed);
-  out.brownout_shed = brownout_shed_.load(std::memory_order_relaxed);
-  out.stale_served = stale_served_.load(std::memory_order_relaxed);
-  out.retries = retries_.load(std::memory_order_relaxed);
-  out.hedges = hedges_.load(std::memory_order_relaxed);
-  out.hedge_wins = hedge_wins_.load(std::memory_order_relaxed);
-  out.chaos_failures = chaos_failures_.load(std::memory_order_relaxed);
-  out.chaos_delays = chaos_delays_.load(std::memory_order_relaxed);
-  out.brownout_level = degradation_.level();
-  return out;
+  std::lock_guard lk(mu_);
+  return pipeline_.stats();
 }
 
 }  // namespace mdtask::service

@@ -9,7 +9,7 @@
 #include <utility>
 
 #include "mdtask/autoscale/metrics.h"
-#include "mdtask/service/reliability.h"
+#include "mdtask/service/pipeline.h"
 #include "mdtask/sim/simulation.h"
 
 namespace mdtask::service {
@@ -34,15 +34,8 @@ struct TenantTrack {
   std::vector<double> latencies;
 };
 
-/// One dispatched job shared by its primary attempt chain, an optional
-/// hedge chain and the deadline machinery (the DES JobState twin).
-struct SimJob {
-  EngineJob job;
-  std::uint64_t chaos_id = 0;
-  double dispatched_at_s = 0.0;
-  bool resolved = false;  ///< first-completion-wins gate
-  bool hedged = false;
-};
+/// Engine-side trace process id of the DES replay.
+constexpr std::uint32_t kTracePid = 40;
 
 }  // namespace
 
@@ -59,35 +52,15 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
 
   trace::Track frontend_track{};
   if (config.tracer != nullptr) {
-    pool.set_trace(config.tracer, config.trace_pid, "server",
-                   "engine-job");
-    frontend_track =
-        config.tracer->thread(config.trace_pid, "frontend");
+    pool.set_trace(config.tracer, kTracePid, "server", "engine-job");
+    frontend_track = config.tracer->thread(kTracePid, "frontend");
   }
 
-  const ReliabilityConfig& rel = config.service.reliability;
-  fault::RetryPolicy retry_policy = rel.retry.policy;
-  if (!rel.retry.enabled) retry_policy.max_attempts = 1;
-  const int max_attempts = std::max(1, retry_policy.max_attempts);
-
-  AdmissionController admission(config.service.admission);
-  FairShareScheduler scheduler(config.service.fair_share);
-  ResultCache cache(config.service.cache);
-  Batcher batcher(config.service.batch);
-  ChaosInjector chaos(config.service.chaos);
-  CircuitBreakerBank breakers(rel.breaker);
-  DegradationController degradation(rel.brownout);
+  ServicePipeline pipeline(config.service);
   autoscale::MetricsWindow metrics;
-  /// Job-latency window feeding the hedge threshold (the live twin of
-  /// AnalysisService::job_latency_).
-  autoscale::MetricsWindow job_latency(256);
   autoscale::TargetUtilizationPolicy policy(config.autoscale);
 
   std::array<std::vector<double>, kTenantClasses> latencies;
-  std::unordered_map<std::uint64_t, double> arrival_of;
-  std::unordered_map<RequestKey, std::vector<AnalysisRequest>,
-                     RequestKeyHash>
-      joiners;
   /// std::map: the final top-N selection iterates in deterministic
   /// tenant-id order before sorting by volume.
   std::map<std::uint64_t, TenantTrack> tenants;
@@ -107,54 +80,40 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
     return &track;
   };
 
-  auto note_overrun = [&](const AnalysisRequest& request, double now) {
+  /// Accounts one resolution at `now`: a deadline expiry, a completion
+  /// (latency sample) or an engine failure.
+  auto account = [&](const Resolution& resolution, double now) {
+    const AnalysisRequest& request = resolution.request;
+    const auto c = static_cast<std::size_t>(request.tenant_class);
+    TenantTrack* track = tenant_track(request);
+    if (resolution.expired) {
+      ++report.classes[c].deadline_expired;
+      if (track != nullptr) ++track->missed;
+      log_line("t=" + fmt_time(now) + " deadline id=" +
+               std::to_string(request.id) + " class=" +
+               to_string(request.tenant_class));
+      return;
+    }
     if (request.deadline_s > 0.0 && now > request.deadline_s) {
       report.max_deadline_overrun_s = std::max(
           report.max_deadline_overrun_s, now - request.deadline_s);
     }
-  };
-
-  /// Resolves one admitted request (success or engine failure). No-op
-  /// when the deadline reaper already resolved it — resolution is
-  /// idempotent by arrival_of membership.
-  auto resolve_request = [&](const AnalysisRequest& request, double now,
-                             bool ok) {
-    const auto it = arrival_of.find(request.id);
-    if (it == arrival_of.end()) return;
-    const double latency = now - it->second;
-    arrival_of.erase(it);
-    const auto c = static_cast<std::size_t>(request.tenant_class);
-    note_overrun(request, now);
-    if (ok) {
+    if (resolution.result.ok()) {
+      const double latency = now - resolution.admitted_at_s;
       latencies[c].push_back(latency);
       ++report.classes[c].completed;
-      if (TenantTrack* track = tenant_track(request)) {
+      if (track != nullptr) {
         ++track->completed;
         track->latencies.push_back(latency);
       }
     } else {
       ++report.classes[c].failed;
-      if (TenantTrack* track = tenant_track(request)) ++track->missed;
+      if (track != nullptr) ++track->missed;
     }
-    admission.release(request);
-    breakers.record(request.tenant_class, request.family, ok, now);
   };
-
-  /// The deadline reaper's half: fails one overdue request with
-  /// kDeadlineExceeded accounting (live: timer_loop + finish).
-  auto reap_request = [&](const AnalysisRequest& request, double now) {
-    const auto it = arrival_of.find(request.id);
-    if (it == arrival_of.end()) return;
-    arrival_of.erase(it);
-    const auto c = static_cast<std::size_t>(request.tenant_class);
-    ++report.classes[c].deadline_expired;
-    ++report.deadline_expired;
-    if (TenantTrack* track = tenant_track(request)) ++track->missed;
-    admission.release(request);
-    breakers.record(request.tenant_class, request.family, false, now);
-    log_line("t=" + fmt_time(now) + " deadline id=" +
-             std::to_string(request.id) + " class=" +
-             to_string(request.tenant_class));
+  auto account_all = [&](const std::vector<Resolution>& resolved,
+                         double now) {
+    for (const Resolution& resolution : resolved) account(resolution, now);
   };
 
   auto job_cost = [&config](const EngineJob& job) {
@@ -170,161 +129,96 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
 
   std::function<void()> pump;
   std::function<void(EngineJob)> dispatch;
-  std::function<void(std::shared_ptr<SimJob>, int, bool)> run_attempt;
+  std::function<void(JobPtr, int, bool)> run_attempt;
 
-  /// Applies one finished job (first completion wins): fulfills every
-  /// member's cache slot, resolves owner and joiners, logs.
-  auto finish_job = [&](const std::shared_ptr<SimJob>& sim_job, double done,
-                        bool ok, bool is_hedge) {
-    if (sim_job->resolved) return;
-    sim_job->resolved = true;
-    if (is_hedge) ++report.hedge_wins;
-    job_latency.record_task_duration(done - sim_job->dispatched_at_s);
-    for (const AnalysisRequest& request : sim_job->job.requests) {
-      const RequestKey key = request_key(request);
-      if (ok) {
-        auto payload = std::make_shared<const ResultPayload>(ResultPayload{
-            {static_cast<double>(key.params % 1024)},
-            4096 + request.input_bytes / 256});
-        cache.fulfill(key, CachedResult(payload));
-      } else {
-        cache.fulfill(key, CachedResult(Error(ErrorCode::kUnavailable,
-                                              "engine job failed")));
-      }
-      resolve_request(request, done, ok);
-      const auto joined = joiners.find(key);
-      if (joined != joiners.end()) {
-        const std::vector<AnalysisRequest> waiters =
-            std::move(joined->second);
-        joiners.erase(joined);
-        for (const AnalysisRequest& waiter : waiters) {
-          resolve_request(waiter, done, ok);
-        }
-      }
-    }
+  /// Finishes one job (first completion wins) with a synthetic payload
+  /// per member, or an engine failure; logs the outcome.
+  auto finish = [&](const JobPtr& job, double done, bool ok, bool is_hedge) {
+    Result<std::vector<ResultPayload>> result =
+        Error(ErrorCode::kUnavailable, "engine job failed");
     if (ok) {
-      log_line("t=" + fmt_time(done) + " complete job=" +
-               std::to_string(sim_job->job.job_id) + " requests=" +
-               std::to_string(sim_job->job.requests.size()));
-    } else {
-      log_line("t=" + fmt_time(done) + " fail job=" +
-               std::to_string(sim_job->job.job_id) + " requests=" +
-               std::to_string(sim_job->job.requests.size()));
+      std::vector<ResultPayload> payloads;
+      for (const AnalysisRequest& request : job->job.requests) {
+        payloads.push_back(ResultPayload{
+            {static_cast<double>(request_key(request).params % 1024)},
+            4096 + request.input_bytes / 256});
+      }
+      result = std::move(payloads);
     }
+    const auto resolved =
+        pipeline.finish_job(*job, std::move(result), done, is_hedge);
+    if (!resolved) return;
+    account_all(*resolved, done);
+    log_line("t=" + fmt_time(done) + (ok ? " complete job=" : " fail job=") +
+             std::to_string(job->job.job_id) + " requests=" +
+             std::to_string(job->job.requests.size()));
   };
 
-  /// One executor attempt in virtual time: the chaos verdict, the pool
-  /// acquisition, and the retry continuation — the DES twin of
-  /// AnalysisService::run_attempts, attempt for attempt.
-  run_attempt = [&](std::shared_ptr<SimJob> sim_job, int i, bool is_hedge) {
+  /// One executor attempt in virtual time: the pipeline's verdicts
+  /// around a pool acquisition that costs the job plus any chaos delay.
+  run_attempt = [&](JobPtr job, int i, bool is_hedge) {
     const double now = simulation.now();
-    if (sim_job->resolved) return;  // sibling runner already won
-    if (sim_job->job.deadline_s > 0.0 && now >= sim_job->job.deadline_s) {
-      finish_job(sim_job, now, /*ok=*/false, is_hedge);
+    const ServicePipeline::AttemptStart start =
+        pipeline.begin_attempt(*job, i, is_hedge, now);
+    if (!start.run) {
+      if (!start.failure) return;  // sibling runner already won
+      finish(job, now, /*ok=*/false, is_hedge);
       pump();
       return;
     }
-    const int base = is_hedge ? kHedgeAttemptBase : 0;
-    const ChaosOutcome verdict = chaos.decide(sim_job->chaos_id, base + i);
-    double cost = job_cost(sim_job->job);
-    if (verdict.delay_s > 0.0) {
-      ++report.chaos_delays;
-      cost += verdict.delay_s;
-    }
-    pool.acquire(cost, [&, sim_job, i, is_hedge, base, verdict, cost] {
+    const ChaosOutcome verdict = start.chaos;
+    const double cost = job_cost(job->job) + verdict.delay_s;
+    pool.acquire(cost, [&, job, i, is_hedge, verdict, cost] {
       const double done = simulation.now();
       metrics.record_task_duration(cost);
-      if (verdict.fails()) {
-        ++report.chaos_failures;
+      const ServicePipeline::AttemptEnd end = pipeline.end_attempt(
+          *job, i, is_hedge, verdict, !verdict.fails(), done);
+      if (end.event) {
         log_line("t=" + fmt_time(done) + " chaos-fail job=" +
-                 std::to_string(sim_job->job.job_id) + " attempt=" +
-                 std::to_string(base + i));
+                 std::to_string(job->job.job_id) + " attempt=" +
+                 std::to_string(end.event->attempt));
         if (config.recovery_log != nullptr) {
-          fault::RecoveryEvent event;
-          event.engine = fault::EngineId::kService;
-          event.task_id = sim_job->chaos_id;
-          event.attempt = base + i;
-          event.fault = verdict.kind;
-          event.action = fault::recovery_action(
-              fault::EngineId::kService, verdict.kind, i, retry_policy);
-          event.backoff_s = fault::backoff_for_attempt(retry_policy, i + 1);
-          event.ts_us = done * 1e6;
-          config.recovery_log->record(event);
+          config.recovery_log->record(*end.event);
         }
-        if (i + 1 < max_attempts && !sim_job->resolved) {
-          ++report.retries;
-          const double backoff =
-              fault::backoff_for_attempt(retry_policy, i + 1);
-          simulation.after(backoff, [&, sim_job, i, is_hedge] {
-            run_attempt(sim_job, i + 1, is_hedge);
-          });
-        } else {
-          finish_job(sim_job, done, /*ok=*/false, is_hedge);
-        }
-        pump();
-        return;
       }
-      finish_job(sim_job, done, /*ok=*/true, is_hedge);
+      if (end.retry) {
+        simulation.after(end.backoff_s, [&, job, i, is_hedge] {
+          run_attempt(job, i + 1, is_hedge);
+        });
+      } else {
+        finish(job, done, !verdict.fails(), is_hedge);
+      }
       pump();
     });
   };
 
   dispatch = [&](EngineJob job) {
     const double now = simulation.now();
-    if (rel.deadline.enabled) {
-      // Fail-fast strip (live dispatch_job twin): a member that is
-      // overdue or already reaped, and that nobody joined, never
-      // reaches the pool; its in-flight cache slot resolves so later
-      // lookups get a fresh miss.
-      auto& members = job.requests;
-      for (auto it = members.begin(); it != members.end();) {
-        const RequestKey key = request_key(*it);
-        const bool owner_alive = arrival_of.contains(it->id);
-        const bool expired =
-            it->deadline_s > 0.0 && now >= it->deadline_s;
-        if ((owner_alive && !expired) || joiners.contains(key)) {
-          ++it;
-          continue;
-        }
-        cache.fulfill(key, CachedResult(Error(
-                               ErrorCode::kDeadlineExceeded,
-                               "deadline passed in batch")));
-        if (owner_alive) reap_request(*it, now);
-        it = members.erase(it);
-      }
-      if (members.empty()) return;
-    }
-    ++report.engine_jobs;
-    report.batched_requests += job.requests.size();
+    std::vector<Resolution> expired;
+    const JobPtr started = pipeline.start_job(std::move(job), now, &expired);
+    account_all(expired, now);
+    if (started == nullptr) return;
+    const EngineJob& run = started->job;
+    report.batched_requests += run.requests.size();
     log_line("t=" + fmt_time(now) + " dispatch job=" +
-             std::to_string(job.job_id) + " family=" +
-             to_string(job.family) + " requests=" +
-             std::to_string(job.requests.size()) + " bytes=" +
-             std::to_string(job.total_bytes()));
+             std::to_string(run.job_id) + " family=" +
+             to_string(run.family) + " requests=" +
+             std::to_string(run.requests.size()) + " bytes=" +
+             std::to_string(run.total_bytes()));
     if (config.tracer != nullptr) {
       config.tracer->counter(frontend_track, "service:queue-depth",
                              now * 1e6,
-                             static_cast<double>(scheduler.queued()));
+                             static_cast<double>(pipeline.queued()));
     }
-    auto sim_job = std::make_shared<SimJob>();
-    sim_job->job = std::move(job);
-    sim_job->chaos_id = chaos.enabled() ? chaos_job_id(sim_job->job)
-                                        : sim_job->job.job_id;
-    sim_job->dispatched_at_s = now;
-    if (rel.hedge.enabled) {
-      if (const auto delay =
-              hedge_delay_s(rel.hedge, job_latency.snapshot(now))) {
-        simulation.at(now + *delay, [&, sim_job] {
-          if (sim_job->resolved || sim_job->hedged) return;
-          sim_job->hedged = true;
-          ++report.hedges;
-          log_line("t=" + fmt_time(simulation.now()) + " hedge job=" +
-                   std::to_string(sim_job->job.job_id));
-          run_attempt(sim_job, 0, /*is_hedge=*/true);
-        });
-      }
+    if (started->hedge_at_s > 0.0) {
+      simulation.at(started->hedge_at_s, [&, started] {
+        if (!pipeline.launch_hedge(*started)) return;
+        log_line("t=" + fmt_time(simulation.now()) + " hedge job=" +
+                 std::to_string(started->job.job_id));
+        run_attempt(started, 0, /*is_hedge=*/true);
+      });
     }
-    run_attempt(std::move(sim_job), 0, /*is_hedge=*/false);
+    run_attempt(started, 0, /*is_hedge=*/false);
   };
 
   // Open batches flush when their delay window expires: every add that
@@ -333,11 +227,11 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
   // occasional duplicate event is harmless (and deterministic).
   std::function<void()> arm_flush;
   arm_flush = [&] {
-    const auto deadline = batcher.next_deadline();
+    const auto deadline = pipeline.next_flush();
     if (!deadline.has_value()) return;
     const double at = std::max(*deadline, simulation.now());
     simulation.at(at, [&] {
-      for (EngineJob& job : batcher.due(simulation.now())) {
+      for (EngineJob& job : pipeline.due(simulation.now())) {
         dispatch(std::move(job));
       }
       arm_flush();
@@ -345,54 +239,40 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
   };
 
   pump = [&] {
-    // Brownout L2: under pressure the delay window shrinks to nothing —
-    // every open batch flushes immediately (live dispatcher twin).
-    if (rel.brownout.enabled &&
-        degradation.level() >= BrownoutLevel::kShrinkBatch) {
-      for (EngineJob& job : batcher.flush_all()) {
-        dispatch(std::move(job));
-      }
+    for (EngineJob& job : pipeline.flush(/*force=*/false)) {
+      dispatch(std::move(job));
     }
-    AnalysisRequest request;
     // One free server is reserved per open batch (it will need one at
     // its deadline); the rest of the free capacity pulls from the
     // fair-share scheduler in DRR order.
-    while (pool.free_servers() > batcher.open_batches() &&
-           scheduler.pop(&request)) {
-      const double now = simulation.now();
-      const auto c = static_cast<std::size_t>(request.tenant_class);
-      const RequestKey key = request_key(request);
-      if (!arrival_of.contains(request.id)) continue;  // reaped in queue
-      const ResultCache::Lookup lookup = cache.lookup_or_join(key);
-      if (lookup.outcome == ResultCache::Outcome::kHit) {
-        ++report.classes[c].cache_hits;
-        resolve_request(request, now, /*ok=*/true);
-        continue;
-      }
-      if (lookup.outcome == ResultCache::Outcome::kJoined) {
-        ++report.classes[c].dedup_joins;
-        joiners[key].push_back(std::move(request));
-        continue;
-      }
-      // Brownout L3: answer the miss from a stale same-analysis entry;
-      // the fresh in-flight slot resolves uncached (live route twin).
-      if (rel.brownout.enabled &&
-          degradation.level() >= BrownoutLevel::kServeStale) {
-        if (auto stale = cache.lookup_stale(key)) {
-          cache.fulfill(key, CachedResult(Error(
-                                 ErrorCode::kUnavailable,
-                                 "brownout: stale-served")));
-          ++report.stale_served;
+    const double now = simulation.now();
+    while (pool.free_servers() > pipeline.open_batches()) {
+      std::optional<ServicePipeline::Routed> routed = pipeline.route_next(now);
+      if (!routed) break;
+      const auto c = static_cast<std::size_t>(routed->tenant_class);
+      using Kind = ServicePipeline::Routed::Kind;
+      switch (routed->kind) {
+        case Kind::kGone:
+          break;
+        case Kind::kHit:
+          ++report.classes[c].cache_hits;
+          account(*routed->resolution, now);
+          break;
+        case Kind::kJoined:
+          ++report.classes[c].dedup_joins;
+          break;
+        case Kind::kStale:
           log_line("t=" + fmt_time(now) + " stale-serve id=" +
-                   std::to_string(request.id));
-          resolve_request(request, now, /*ok=*/true);
-          continue;
-        }
-      }
-      if (auto job = batcher.add(std::move(request), now)) {
-        dispatch(std::move(*job));
-      } else {
-        arm_flush();
+                   std::to_string(routed->resolution->request.id));
+          account(*routed->resolution, now);
+          break;
+        case Kind::kBatched:
+          if (routed->job) {
+            dispatch(std::move(*routed->job));
+          } else {
+            arm_flush();
+          }
+          break;
       }
     }
   };
@@ -400,68 +280,47 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
   for (const TrafficEvent& event : traffic) {
     simulation.at(event.arrival_s, [&, event] {
       const double now = simulation.now();
-      AnalysisRequest request = event.request;
+      const AnalysisRequest& request = event.request;
       const auto c = static_cast<std::size_t>(request.tenant_class);
       ++report.classes[c].requests;
-      if (TenantTrack* track = tenant_track(request)) ++track->requests;
-      // Brownout observation + L1: pressure is the admitted-unresolved
-      // backlog (the live dispatcher observes outstanding_).
-      if (rel.brownout.enabled) {
-        const BrownoutLevel level = degradation.update(
-            arrival_of.size(), breakers.open_cells(now));
-        if (level >= BrownoutLevel::kShedBestEffort &&
-            request.tenant_class == TenantClass::kBestEffort) {
+      TenantTrack* track = tenant_track(request);
+      if (track != nullptr) ++track->requests;
+      pipeline.observe_pressure(now);
+      const ServicePipeline::Admission admission =
+          pipeline.admit(request, now);
+      const std::string id = std::to_string(request.id);
+      switch (admission.verdict) {
+        case ServicePipeline::Verdict::kBrownoutShed:
           ++report.classes[c].brownout_shed;
-          ++report.brownout_shed;
-          if (TenantTrack* track = tenant_track(request)) ++track->missed;
-          log_line("t=" + fmt_time(now) + " brownout-shed id=" +
-                   std::to_string(request.id));
+          if (track != nullptr) ++track->missed;
+          log_line("t=" + fmt_time(now) + " brownout-shed id=" + id);
           return;
-        }
-      }
-      const Status admitted = admission.admit(request);
-      if (!admitted.ok()) {
-        ++report.classes[c].rejected;
-        if (TenantTrack* track = tenant_track(request)) ++track->missed;
-        log_line("t=" + fmt_time(now) + " reject id=" +
-                 std::to_string(request.id) + " class=" +
-                 to_string(request.tenant_class));
-        return;
-      }
-      // Breaker AFTER admission, releasing on rejection (live twin:
-      // every allow() is balanced by one record() at resolution).
-      if (!breakers.allow(request.tenant_class, request.family, now)) {
-        admission.release(request);
-        ++report.classes[c].circuit_rejected;
-        ++report.circuit_rejected;
-        if (TenantTrack* track = tenant_track(request)) ++track->missed;
-        log_line("t=" + fmt_time(now) + " circuit-open id=" +
-                 std::to_string(request.id) + " class=" +
-                 to_string(request.tenant_class));
-        return;
+        case ServicePipeline::Verdict::kRejected:
+          ++report.classes[c].rejected;
+          if (track != nullptr) ++track->missed;
+          log_line("t=" + fmt_time(now) + " reject id=" + id + " class=" +
+                   to_string(request.tenant_class));
+          return;
+        case ServicePipeline::Verdict::kCircuitOpen:
+          ++report.classes[c].circuit_rejected;
+          if (track != nullptr) ++track->missed;
+          log_line("t=" + fmt_time(now) + " circuit-open id=" + id +
+                   " class=" + to_string(request.tenant_class));
+          return;
+        case ServicePipeline::Verdict::kAdmitted:
+          break;
       }
       ++report.classes[c].admitted;
-      if (const double budget = deadline_budget_s(rel.deadline, request);
-          budget > 0.0) {
-        request.deadline_s = now + budget;
-        // The reaper: at the deadline the future fails NOW, wherever
-        // the request sits (queue, open batch, joiner list, running
-        // job) — resolution later is a harmless no-op.
-        const AnalysisRequest reaped = request;
-        simulation.at(request.deadline_s, [&, reaped] {
-          reap_request(reaped, simulation.now());
+      if (admission.deadline_s > 0.0) {
+        // The reaper: at the deadline the request fails NOW, wherever
+        // it sits (queue, open batch, joiner list, running job) — a
+        // resolution later is a harmless no-op.
+        simulation.at(admission.deadline_s, [&, id = request.id] {
+          if (auto expired = pipeline.expire(id, simulation.now())) {
+            account(*expired, simulation.now());
+          }
         });
-      } else {
-        request.deadline_s = 0.0;
       }
-      arrival_of[request.id] = now;
-      if (config.log_arrivals) {
-        log_line("t=" + fmt_time(now) + " arrive id=" +
-                 std::to_string(request.id) + " class=" +
-                 to_string(request.tenant_class) + " tenant=" +
-                 std::to_string(request.tenant));
-      }
-      scheduler.push(std::move(request));
       pump();
     });
   }
@@ -473,7 +332,7 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
     const std::size_t size = pool.servers();
     const std::size_t free = std::min(size, pool.free_servers());
     const std::size_t depth =
-        scheduler.queued() + pool.queued() + batcher.pending();
+        pipeline.queued() + pool.queued() + pipeline.batched();
     metrics.observe_pool(size, size - free, depth);
     const autoscale::Decision decision =
         policy.decide(metrics.snapshot(now));
@@ -501,7 +360,7 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
                              now * 1e6, static_cast<double>(depth));
     }
     const bool work_left =
-        scheduler.queued() + pool.queued() + batcher.pending() > 0 ||
+        pipeline.queued() + pool.queued() + pipeline.batched() > 0 ||
         pool.free_servers() < pool.servers();
     if (now + tick_dt <= config.traffic.duration_s || work_left) {
       simulation.after(tick_dt, tick);
@@ -512,6 +371,17 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
   report.horizon_s = simulation.run();
   report.final_servers = pool.servers();
   report.busy_time_s = pool.busy_time();
+  const ServiceStats stats = pipeline.stats();
+  report.engine_jobs = stats.engine_jobs;
+  report.deadline_expired = stats.deadline_expired;
+  report.circuit_rejected = stats.circuit_rejected;
+  report.brownout_shed = stats.brownout_shed;
+  report.stale_served = stats.stale_served;
+  report.retries = stats.retries;
+  report.hedges = stats.hedges;
+  report.hedge_wins = stats.hedge_wins;
+  report.chaos_failures = stats.chaos_failures;
+  report.chaos_delays = stats.chaos_delays;
 
   for (std::size_t c = 0; c < kTenantClasses; ++c) {
     ClassOutcome& out = report.classes[c];
