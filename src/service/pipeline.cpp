@@ -176,6 +176,15 @@ JobPtr ServicePipeline::start_job(EngineJob job, double now,
       it = members.erase(it);
     }
     if (members.empty()) return nullptr;
+    // The job lands by the earliest deadline still ahead among the
+    // survivors: a stripped member's deadline must not fail the rest.
+    job.deadline_s = 0.0;
+    for (const AnalysisRequest& member : members) {
+      if (member.deadline_s > now &&
+          (job.deadline_s == 0.0 || member.deadline_s < job.deadline_s)) {
+        job.deadline_s = member.deadline_s;
+      }
+    }
   }
   ++stats_.engine_jobs;
   auto started = std::make_shared<PipelineJob>();

@@ -87,6 +87,43 @@ TEST(ServiceReliabilityTest, ExpiredRequestNeverReachesTheExecutor) {
   EXPECT_EQ(jobs.load(), 0u);
 }
 
+TEST(ServiceReliabilityTest, StripKeepsTheJobDeadlineOfTheSurvivors) {
+  // A (50 ms budget) and B (10 s budget) share one open batch; the
+  // batch closes at A's deadline. The strip drops A, and B must run
+  // under its own deadline, not under the one of the member removed.
+  ServiceConfig config;
+  config.batch.max_batch = 64;
+  config.batch.max_delay_s = 3600.0;
+  config.reliability.deadline.enabled = true;
+  std::atomic<int> calls{0};
+  std::atomic<std::size_t> members{0};
+  ThreadPool pool(2);
+  AnalysisService service(
+      config, pool,
+      [&](const EngineJob& job) -> Result<std::vector<ResultPayload>> {
+        calls.fetch_add(1);
+        members.store(job.requests.size());
+        return echo_executor(job);
+      });
+  AnalysisRequest a = make_request(1, 7, AnalysisFamily::kRmsdSeries, "1");
+  a.deadline_s = 0.05;
+  AnalysisRequest b = make_request(2, 7, AnalysisFamily::kRmsdSeries, "2");
+  b.deadline_s = 10.0;
+  auto future_a = service.submit(std::move(a));
+  auto future_b = service.submit(std::move(b));
+
+  CachedResult result_a = future_a.get();
+  ASSERT_FALSE(result_a.ok());
+  EXPECT_EQ(result_a.error().code(), ErrorCode::kDeadlineExceeded);
+  CachedResult result_b = future_b.get();
+  ASSERT_TRUE(result_b.ok()) << result_b.error().to_string();
+  EXPECT_DOUBLE_EQ(result_b.value()->values.at(0), 7.0);
+  service.drain();
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(members.load(), 1u);
+  EXPECT_EQ(service.stats().deadline_expired, 1u);
+}
+
 TEST(ServiceReliabilityTest, RetryRecoversFromTransientExecutorFailure) {
   ServiceConfig config;
   config.batch.enabled = false;

@@ -293,6 +293,21 @@ TEST(SimServiceReliabilityTest, ReliabilityOnBeatsOffForInteractiveSlo) {
   EXPECT_DOUBLE_EQ(on.max_deadline_overrun_s, 0.0);
 }
 
+TEST(SimServiceReliabilityTest, NoEngineFailureWithoutChaos) {
+  // A long batch window gathers members with different deadlines; the
+  // strip drops the overdue ones, and the survivors must run under
+  // their own deadlines. Without chaos nothing can fail an engine job.
+  ServiceSimConfig config = chaos_config(/*reliable=*/true);
+  config.service.chaos.enabled = false;
+  config.service.batch.max_delay_s = 2.0;
+  config.service.batch.max_batch = 64;
+  const ServiceSimReport report = simulate_service(config);
+  ASSERT_GT(report.deadline_expired, 0u);
+  for (const ClassOutcome& out : report.classes) {
+    EXPECT_EQ(out.failed, 0u);
+  }
+}
+
 TEST(SimServiceReliabilityTest, EveryRequestIsAccountedForUnderChaos) {
   const ServiceSimReport report = simulate_service(chaos_config(true));
   std::uint64_t accounted = 0;
