@@ -181,18 +181,18 @@ int main(int argc, char** argv) {
     config.traffic.hot_keys = 16;
     config.service.cache.enabled = enabled;
     const ServiceSimReport report = simulate_service(config);
+    const std::uint64_t jobs = report.stats.engine_jobs;
     cache_table.add_row(
         {enabled ? "on" : "off", std::to_string(report.requests),
-         std::to_string(report.engine_jobs),
-         std::to_string(report.batched_requests),
+         std::to_string(jobs), std::to_string(report.batched_requests),
          std::to_string(report.cache_hits),
          std::to_string(report.dedup_joins),
-         Table::fmt(1000.0 * static_cast<double>(report.engine_jobs) /
+         Table::fmt(1000.0 * static_cast<double>(jobs) /
                         static_cast<double>(report.requests),
                     1)});
     entries.push_back({"service_cache", enabled ? "on" : "off",
                        "jobs_per_1k_requests",
-                       1000.0 * static_cast<double>(report.engine_jobs) /
+                       1000.0 * static_cast<double>(jobs) /
                            static_cast<double>(report.requests)});
   }
   bench::emit(cache_table, "service_cache");
@@ -288,12 +288,12 @@ int main(int argc, char** argv) {
           "chaos_failures=%llu chaos_delays=%llu stale_served=%llu "
           "max_deadline_overrun_s=%.6f\n",
           reliable ? "on " : "off",
-          static_cast<unsigned long long>(report.retries),
-          static_cast<unsigned long long>(report.hedges),
-          static_cast<unsigned long long>(report.hedge_wins),
-          static_cast<unsigned long long>(report.chaos_failures),
-          static_cast<unsigned long long>(report.chaos_delays),
-          static_cast<unsigned long long>(report.stale_served),
+          static_cast<unsigned long long>(report.stats.retries),
+          static_cast<unsigned long long>(report.stats.hedges),
+          static_cast<unsigned long long>(report.stats.hedge_wins),
+          static_cast<unsigned long long>(report.stats.chaos_failures),
+          static_cast<unsigned long long>(report.stats.chaos_delays),
+          static_cast<unsigned long long>(report.stats.stale_served),
           report.max_deadline_overrun_s);
     }
     bench::emit(chaos_table, "service_chaos");

@@ -1,20 +1,13 @@
 // The serving decisions of the front end, written once (docs/SERVICE.md).
 //
-// ServicePipeline is a single-threaded, clock-free state machine. Each
-// step takes the caller's `now` and returns plain values: the
-// resolutions to deliver, the jobs to run, the chaos verdict, the
-// recovery event, the next wake time. Two drivers run the same steps:
-//
-//  * AnalysisService (service.h) drives it on the wall clock: every
-//    step runs under the service mutex, jobs run on a ThreadPool, the
-//    runners sleep chaos delays and backoffs, and resolutions set the
-//    request promises.
-//  * simulate_service (sim_service.h) drives it on the virtual clock:
-//    steps run as DES events against a sim::Resource cost model, and
-//    resolutions fill the latency / SLO / tenant tables.
-//
-// Because neither driver decides anything itself, the DES twin
-// predicts the live service instead of re-implementing it.
+// ServicePipeline is a single-threaded, clock-free state machine: each
+// step takes the caller's `now` and returns plain values (resolutions
+// to deliver, jobs to run, chaos verdicts, recovery events, the next
+// wake time). AnalysisService (service.h) drives it on the wall clock
+// under its mutex; simulate_service (sim_service.h) drives it on the
+// virtual clock as DES events. Neither driver decides anything itself,
+// so the DES twin predicts the live service instead of re-implementing
+// it.
 #pragma once
 
 #include <cstddef>
@@ -69,8 +62,7 @@ struct ServiceStats {
   BrownoutLevel brownout_level = BrownoutLevel::kNormal;
 };
 
-/// One admitted request resolved: the value its future receives plus
-/// what the drivers account it by.
+/// One admitted request resolved, with what the drivers account it by.
 struct Resolution {
   AnalysisRequest request;  ///< as admitted (absolute deadline_s)
   double admitted_at_s = 0.0;
@@ -78,16 +70,13 @@ struct Resolution {
   bool expired = false;  ///< failed by the deadline reaper or the strip
 };
 
-/// One dispatched engine job, shared by its primary runner, an optional
-/// hedge runner and the drivers' timers. `job` and `chaos_id` never
-/// change after start_job; the rest is pipeline state, touched only
-/// through pipeline steps.
+/// One dispatched engine job, shared by its primary and hedge runners.
+/// Only `job` and `chaos_id` may be read outside pipeline steps.
 struct PipelineJob {
   EngineJob job;
   std::uint64_t chaos_id = 0;  ///< chaos identity (chaos_job_id)
   double dispatched_at_s = 0.0;
   double hedge_at_s = 0.0;  ///< hedge launch time (0 = no hedge)
-  bool hedged = false;
   bool resolved = false;  ///< first-completion-wins gate
 };
 using JobPtr = std::shared_ptr<PipelineJob>;
@@ -96,18 +85,14 @@ class ServicePipeline {
  public:
   explicit ServicePipeline(const ServiceConfig& config);
 
-  ServicePipeline(const ServicePipeline&) = delete;
-  ServicePipeline& operator=(const ServicePipeline&) = delete;
-
   /// Feeds brownout the admitted-unresolved count and the open breaker
-  /// cells. When to observe is the driver's choice (live: each
-  /// dispatcher pass; DES: each arrival).
+  /// cells (live: each dispatcher pass; DES: each arrival).
   void observe_pressure(double now);
 
   enum class Verdict : std::uint8_t {
     kAdmitted,
     kBrownoutShed,  ///< brownout L1 shed a best-effort request
-    kRejected,      ///< admission shed it, or the pipeline is closed
+    kRejected,      ///< admission shed it
     kCircuitOpen,   ///< its breaker cell rejects traffic
   };
   struct Admission {
@@ -115,42 +100,38 @@ class ServicePipeline {
     std::optional<Error> error;  ///< the typed refusal (not admitted)
     double deadline_s = 0.0;     ///< absolute deadline (0 = none)
   };
-  /// Brownout L1 shed, then admission, then the breaker (releasing the
-  /// admission slot on rejection), then the absolute deadline stamp; an
-  /// admitted request is queued for route_next.
+  /// Brownout L1 shed, admission, the breaker (releasing admission on
+  /// rejection), the absolute deadline stamp; then queues the request.
   Admission admit(AnalysisRequest request, double now);
-
-  /// Refuses every later admit with kUnavailable (shutdown).
-  void close() noexcept { closed_ = true; }
 
   struct Routed {
     enum class Kind : std::uint8_t {
-      kGone,     ///< already resolved while queued (reaped)
       kHit,      ///< answered from the cache
       kJoined,   ///< joined an in-flight computation of its key
       kStale,    ///< brownout L3 answered the miss from a stale entry
       kBatched,  ///< a miss, handed to the batcher
     };
-    Kind kind = Kind::kGone;
+    Kind kind = Kind::kBatched;
     TenantClass tenant_class = TenantClass::kBatch;
     std::optional<Resolution> resolution;  ///< kHit, kStale
     std::optional<EngineJob> job;  ///< kBatched: the add closed a batch
   };
-  /// Pops the next queued request in fair-share order and routes it
-  /// through the cache and the batcher; nullopt when the queue is empty.
+  /// Pops the next unresolved request in fair-share order (dropping
+  /// ones reaped while queued) and routes it through the cache and the
+  /// batcher; nullopt when the queue is empty.
   std::optional<Routed> route_next(double now);
 
   /// Batches whose delay window expired at `now`.
-  std::vector<EngineJob> due(double now);
+  std::vector<EngineJob> due(double now) { return batcher_.due(now); }
   /// Every open batch when `force` (drain, shutdown) or brownout L2
   /// holds; otherwise none.
   std::vector<EngineJob> flush(bool force);
 
-  /// Strips members nobody can still use (an owner that is overdue or
-  /// already resolved, with no joiner), resolving overdue owners into
-  /// `expired`; the job deadline becomes the earliest future deadline
-  /// among the survivors. Then starts the job: chaos identity and hedge
-  /// time from the job-latency p95. nullptr when nothing survived.
+  /// Strips members nobody can still use (owner overdue or resolved, no
+  /// joiner), resolving overdue owners into `expired`, and sets the job
+  /// deadline to the earliest future deadline among the survivors; then
+  /// starts the job (chaos identity, hedge time from the latency p95).
+  /// nullptr when nothing survived.
   JobPtr start_job(EngineJob job, double now,
                    std::vector<Resolution>* expired);
 
@@ -186,7 +167,7 @@ class ServicePipeline {
   /// deadline). nullopt when it already resolved.
   std::optional<Resolution> expire(std::uint64_t id, double now);
   /// Launches the hedge of `job` unless it resolved or was hedged.
-  bool launch_hedge(PipelineJob& job);
+  bool launch_hedge(const PipelineJob& job);
 
   struct TimerStep {
     std::vector<Resolution> expired;
@@ -216,14 +197,13 @@ class ServicePipeline {
     double admitted_at_s = 0.0;
   };
 
-  /// Resolves admitted request `id` (no-op when already resolved):
+  /// Resolves admitted request `id` (nullopt when already resolved):
   /// releases admission, records the breaker outcome, counts it.
-  void resolve(std::uint64_t id, CachedResult result, double now,
-               bool expired, std::vector<Resolution>* out);
+  std::optional<Resolution> resolve(std::uint64_t id, CachedResult result,
+                                    double now, bool expired);
 
   ServiceConfig config_;
-  fault::RetryPolicy retry_policy_;
-  int max_attempts_ = 1;
+  fault::RetryPolicy retry_policy_;  ///< one attempt when retry is off
   AdmissionController admission_;
   FairShareScheduler scheduler_;
   ResultCache cache_;
@@ -237,10 +217,9 @@ class ServicePipeline {
   /// Requests waiting on another request's in-flight computation.
   std::unordered_map<RequestKey, std::vector<std::uint64_t>, RequestKeyHash>
       joiners_;
-  /// Unresolved jobs with a pending hedge, by job id (timer_step).
+  /// Unresolved jobs whose hedge has not launched yet, by job id.
   std::unordered_map<std::uint64_t, JobPtr> hedgeable_;
   ServiceStats stats_;
-  bool closed_ = false;
 };
 
 }  // namespace mdtask::service

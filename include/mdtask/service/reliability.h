@@ -16,8 +16,8 @@
 //  * Breakers    — per-(tenant class, analysis family) circuit breakers
 //                  trip on failure-rate windows and reject with
 //                  kCircuitOpen until a half-open probe heals them.
-//  * Brownout    — a DegradationController watches queue depth and
-//                  breaker state and degrades in steps: shed best-effort
+//  * Brownout    — a DegradationController watches the admitted backlog
+//                  and breaker state and degrades in steps: shed best-effort
 //                  first, then shrink batch delay windows, then serve
 //                  stale cache entries flagged stale=true.
 //
@@ -191,7 +191,9 @@ const char* to_string(BrownoutLevel level) noexcept;
 
 struct BrownoutConfig {
   bool enabled = false;
-  /// Queue-depth thresholds that ENTER each level (scheduler backlog).
+  /// Depths that ENTER each level. The depth is the number of admitted,
+  /// unresolved requests (ServicePipeline::observe_pressure), wherever
+  /// they sit: queued, batched, joined or running.
   std::size_t shed_depth = 64;
   std::size_t shrink_depth = 128;
   std::size_t stale_depth = 256;
@@ -203,7 +205,7 @@ struct BrownoutConfig {
   bool breaker_escalates = true;
 };
 
-/// Maps observed pressure (queue depth + open breaker cells) to a
+/// Maps observed pressure (backlog depth + open breaker cells) to a
 /// BrownoutLevel with hysteresis. Pure function of the observation
 /// sequence — no clock, no randomness — so the DES twin replays it.
 class DegradationController {

@@ -18,18 +18,13 @@
 // with ErrorCode::kOverloaded, a failed engine job fails every request
 // it carried (and every in-flight joiner) without poisoning the cache.
 //
-// The request reliability layer (reliability.h, docs/SERVICE.md) wraps
-// this pipeline when enabled: deadlines reap overdue futures with
-// kDeadlineExceeded, the executor boundary retries with backoff and
-// hedges slow jobs, per-(class, family) circuit breakers reject with
-// kCircuitOpen, a DegradationController sheds/shrinks/serves-stale
-// under pressure, and a seeded ChaosInjector drives fail/slow/hang at
-// the executor boundary for chaos testing.
-//
-// Every serving decision lives in ServicePipeline (pipeline.h), shared
-// with the DES twin; this class is its wall-clock driver: the mutex,
-// the dispatcher and timer threads, the promises, the pool posts, the
-// sleeps, the executor call, drain/shutdown and the ingest registry.
+// Every serving decision — the pieces above plus the request
+// reliability layer (reliability.h: deadlines, retry, hedging, circuit
+// breakers, brownout, chaos) — lives in ServicePipeline (pipeline.h),
+// which the DES twin drives too. This class is its wall-clock driver:
+// the mutex, the dispatcher and timer threads, the promises, the pool
+// posts, the sleeps, the executor call, drain/shutdown and the ingest
+// registry.
 #pragma once
 
 #include <atomic>

@@ -1,21 +1,15 @@
 // DES replay of the serving layer (docs/SERVICE.md).
 //
 // simulate_service() replays a seeded traffic schedule (traffic.h)
-// through the REAL serving components — AdmissionController,
-// FairShareScheduler, ResultCache, Batcher — against a sim::Resource
-// engine pool in virtual time. Engine jobs cost a base latency plus a
-// per-megabyte streaming term (one store pass amortized across the
-// batch, so coalescing pays); cache hits answer without touching the
-// pool. Optionally the autoscale TargetUtilizationPolicy closes the
-// loop on the pool, scaling it with the diurnal/bursty demand.
-//
-// The reliability layer is mirrored in virtual time when enabled in
-// config.service: deadline reapers fire as DES events, the executor
-// boundary retries with virtual backoff and hedges at k x p95, the
-// SAME CircuitBreakerBank / DegradationController / ChaosInjector
-// classes run on the virtual clock, and chaos verdicts are keyed by
-// chaos_job_id — so the live service and this twin agree byte for
-// byte on every injected fault for the same seed.
+// through the SAME ServicePipeline the live AnalysisService drives
+// (pipeline.h) — admission, fair share, cache, batching and the whole
+// reliability layer — against a sim::Resource engine pool in virtual
+// time; deadline reapers and hedges fire as DES events. Engine jobs
+// cost a base latency plus a per-megabyte streaming term (one store
+// pass amortized across the batch, so coalescing pays) plus any chaos
+// delay; cache hits answer without touching the pool. Optionally the
+// autoscale TargetUtilizationPolicy closes the loop on the pool,
+// scaling it with the diurnal/bursty demand.
 //
 // The report carries per-tenant-class latency percentiles and SLO
 // attainment — the tables bench_service prints — plus a canonical
@@ -31,7 +25,7 @@
 
 #include "mdtask/autoscale/policy.h"
 #include "mdtask/fault/recovery.h"
-#include "mdtask/service/service.h"
+#include "mdtask/service/pipeline.h"
 #include "mdtask/service/traffic.h"
 #include "mdtask/trace/tracer.h"
 
@@ -115,23 +109,16 @@ struct ServiceSimReport {
   std::uint64_t completed = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t dedup_joins = 0;
-  std::uint64_t engine_jobs = 0;       ///< pool acquisitions
   std::uint64_t batched_requests = 0;  ///< requests carried by jobs
   std::size_t initial_servers = 0;
   std::size_t peak_servers = 0;
   std::size_t final_servers = 0;
   std::uint64_t scale_ups = 0;
   std::uint64_t scale_downs = 0;
-  // Reliability totals (all zero with the mechanisms disabled).
-  std::uint64_t deadline_expired = 0;
-  std::uint64_t circuit_rejected = 0;
-  std::uint64_t brownout_shed = 0;
-  std::uint64_t stale_served = 0;
-  std::uint64_t retries = 0;
-  std::uint64_t hedges = 0;
-  std::uint64_t hedge_wins = 0;
-  std::uint64_t chaos_failures = 0;
-  std::uint64_t chaos_delays = 0;
+  /// The pipeline's counters and component statistics — the same set
+  /// AnalysisService::stats() reports. Its `completed` counts every
+  /// resolution; the per-class `completed` above counts only successes.
+  ServiceStats stats;
   /// Largest (resolution time - deadline) over requests carrying one:
   /// the deadline reaper keeps this at 0 — the acceptance bound.
   double max_deadline_overrun_s = 0.0;

@@ -26,7 +26,6 @@ ServicePipeline::ServicePipeline(const ServiceConfig& config)
       degradation_(config.reliability.brownout),
       job_latency_(256) {
   if (!config.reliability.retry.enabled) retry_policy_.max_attempts = 1;
-  max_attempts_ = std::max(1, retry_policy_.max_attempts);
 }
 
 void ServicePipeline::observe_pressure(double now) {
@@ -37,11 +36,6 @@ void ServicePipeline::observe_pressure(double now) {
 
 ServicePipeline::Admission ServicePipeline::admit(AnalysisRequest request,
                                                   double now) {
-  if (closed_) {
-    ++stats_.rejected;
-    return {Verdict::kRejected,
-            Error(ErrorCode::kUnavailable, "service is shutting down")};
-  }
   // Brownout L1, cheapest first: best-effort traffic is shed before it
   // reserves anything.
   if (config_.reliability.brownout.enabled &&
@@ -78,11 +72,11 @@ ServicePipeline::Admission ServicePipeline::admit(AnalysisRequest request,
   return {Verdict::kAdmitted, std::nullopt, deadline};
 }
 
-void ServicePipeline::resolve(std::uint64_t id, CachedResult result,
-                              double now, bool expired,
-                              std::vector<Resolution>* out) {
+std::optional<Resolution> ServicePipeline::resolve(std::uint64_t id,
+                                                   CachedResult result,
+                                                   double now, bool expired) {
   const auto it = admitted_.find(id);
-  if (it == admitted_.end()) return;
+  if (it == admitted_.end()) return std::nullopt;
   Admitted admitted = std::move(it->second);
   admitted_.erase(it);
   const AnalysisRequest& request = admitted.request;
@@ -90,26 +84,25 @@ void ServicePipeline::resolve(std::uint64_t id, CachedResult result,
   breakers_.record(request.tenant_class, request.family, result.ok(), now);
   ++stats_.completed;
   if (expired) ++stats_.deadline_expired;
-  out->push_back(Resolution{std::move(admitted.request),
-                            admitted.admitted_at_s, std::move(result),
-                            expired});
+  return Resolution{std::move(admitted.request), admitted.admitted_at_s,
+                    std::move(result), expired};
 }
 
 std::optional<ServicePipeline::Routed> ServicePipeline::route_next(
     double now) {
   AnalysisRequest request;
-  if (!scheduler_.pop(&request)) return std::nullopt;
+  do {
+    if (!scheduler_.pop(&request)) return std::nullopt;
+  } while (!admitted_.contains(request.id));  // reaped while queued
   Routed routed;
   routed.tenant_class = request.tenant_class;
-  if (!admitted_.contains(request.id)) return routed;  // reaped in queue
   const RequestKey key = request_key(request);
-  std::vector<Resolution> resolved;
   const ResultCache::Lookup lookup = cache_.lookup_or_join(key);
   switch (lookup.outcome) {
     case ResultCache::Outcome::kHit:
       routed.kind = Routed::Kind::kHit;
-      resolve(request.id, lookup.future.get(), now, false, &resolved);
-      break;
+      routed.resolution = resolve(request.id, lookup.future.get(), now, false);
+      return routed;
     case ResultCache::Outcome::kJoined:
       routed.kind = Routed::Kind::kJoined;
       joiners_[key].push_back(request.id);
@@ -126,21 +119,16 @@ std::optional<ServicePipeline::Routed> ServicePipeline::route_next(
                                                  "brownout: stale-served")));
           ++stats_.stale_served;
           routed.kind = Routed::Kind::kStale;
-          resolve(request.id, CachedResult(std::move(stale)), now, false,
-                  &resolved);
-          break;
+          routed.resolution =
+              resolve(request.id, CachedResult(std::move(stale)), now, false);
+          return routed;
         }
       }
       routed.kind = Routed::Kind::kBatched;
       routed.job = batcher_.add(std::move(request), now);
       return routed;
   }
-  routed.resolution = std::move(resolved.front());
   return routed;
-}
-
-std::vector<EngineJob> ServicePipeline::due(double now) {
-  return batcher_.due(now);
 }
 
 std::vector<EngineJob> ServicePipeline::flush(bool force) {
@@ -169,10 +157,11 @@ JobPtr ServicePipeline::start_job(EngineJob job, double now,
         ++it;
         continue;
       }
-      cache_.fulfill(key,
-                     CachedResult(deadline_error("deadline passed in batch")));
-      resolve(it->id, CachedResult(deadline_error("deadline passed in batch")),
-              now, /*expired=*/true, expired);
+      const CachedResult late(deadline_error("deadline passed in batch"));
+      cache_.fulfill(key, late);
+      if (auto resolved = resolve(it->id, late, now, /*expired=*/true)) {
+        expired->push_back(std::move(*resolved));
+      }
       it = members.erase(it);
     }
     if (members.empty()) return nullptr;
@@ -238,7 +227,8 @@ ServicePipeline::AttemptEnd ServicePipeline::end_attempt(
   }
   // First-completion-wins: a loser whose sibling already resolved the
   // job stops burning executor capacity on retries.
-  if (attempt + 1 < max_attempts_ && !job.resolved) {
+  if (attempt + 1 < std::max(1, retry_policy_.max_attempts) &&
+      !job.resolved) {
     ++stats_.retries;
     end.retry = true;
     end.backoff_s = fault::backoff_for_attempt(retry_policy_, attempt + 1);
@@ -270,12 +260,14 @@ std::optional<std::vector<Resolution>> ServicePipeline::finish_job(
                           std::move(result.value()[i])))
                     : CachedResult(result.error());
     cache_.fulfill(key, outcome);
-    resolve(members[i].id, outcome, now, false, &resolved);
+    std::vector<std::uint64_t> ids{members[i].id};
     if (const auto joined = joiners_.find(key); joined != joiners_.end()) {
-      const std::vector<std::uint64_t> waiters = std::move(joined->second);
+      ids.insert(ids.end(), joined->second.begin(), joined->second.end());
       joiners_.erase(joined);
-      for (const std::uint64_t waiter : waiters) {
-        resolve(waiter, outcome, now, false, &resolved);
+    }
+    for (const std::uint64_t id : ids) {
+      if (auto done = resolve(id, outcome, now, false)) {
+        resolved.push_back(std::move(*done));
       }
     }
   }
@@ -294,15 +286,13 @@ std::optional<Resolution> ServicePipeline::expire(std::uint64_t id,
     std::erase(joined->second, id);
     if (joined->second.empty()) joiners_.erase(joined);
   }
-  std::vector<Resolution> resolved;
-  resolve(id, CachedResult(deadline_error("deadline exceeded")), now,
-          /*expired=*/true, &resolved);
-  return std::move(resolved.front());
+  return resolve(id, CachedResult(deadline_error("deadline exceeded")), now,
+                 /*expired=*/true);
 }
 
-bool ServicePipeline::launch_hedge(PipelineJob& job) {
-  if (job.resolved || job.hedged) return false;
-  job.hedged = true;
+bool ServicePipeline::launch_hedge(const PipelineJob& job) {
+  // A job leaves hedgeable_ when it resolves or its hedge launches.
+  if (hedgeable_.erase(job.job.job_id) == 0) return false;
   ++stats_.hedges;
   return true;
 }
@@ -324,14 +314,14 @@ ServicePipeline::TimerStep ServicePipeline::timer_step(double now) {
   for (const std::uint64_t id : overdue) {
     step.expired.push_back(*expire(id, now));
   }
-  for (auto& [id, job] : hedgeable_) {
+  for (const auto& [id, job] : hedgeable_) {
     if (now < job->hedge_at_s) {
-      if (!job->hedged) step.next_wake_s = std::min(step.next_wake_s,
-                                                    job->hedge_at_s);
-    } else if (launch_hedge(*job)) {
+      step.next_wake_s = std::min(step.next_wake_s, job->hedge_at_s);
+    } else {
       step.hedges.push_back(job);
     }
   }
+  for (const JobPtr& job : step.hedges) launch_hedge(*job);
   return step;
 }
 

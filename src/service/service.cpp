@@ -10,15 +10,9 @@ namespace mdtask::service {
 
 namespace {
 
-bool needs_timer(const ServiceConfig& config) noexcept {
-  return config.reliability.deadline.enabled ||
-         config.reliability.hedge.enabled;
-}
-
+/// Sleeps `seconds` (no-op when not positive).
 void sleep_s(double seconds) {
-  if (seconds > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
 }  // namespace
@@ -31,15 +25,16 @@ AnalysisService::AnalysisService(ServiceConfig config, ThreadPool& pool,
       epoch_(std::chrono::steady_clock::now()),
       pipeline_(config_),
       dispatcher_([this] { dispatcher_loop(); }),
-      timer_(needs_timer(config_) ? std::thread([this] { timer_loop(); })
-                                  : std::thread()) {}
+      timer_(config_.reliability.deadline.enabled ||
+                     config_.reliability.hedge.enabled
+                 ? std::thread([this] { timer_loop(); })
+                 : std::thread()) {}
 
 AnalysisService::~AnalysisService() {
   {
     std::lock_guard lk(mu_);
     stopping_ = true;
     signal_ = true;
-    pipeline_.close();
   }
   cv_.notify_all();
   timer_cv_.notify_all();
@@ -67,6 +62,11 @@ std::future<CachedResult> AnalysisService::submit(AnalysisRequest request) {
   bool has_deadline = false;
   {
     std::lock_guard lk(mu_);
+    if (stopping_) {
+      promise.set_value(CachedResult(
+          Error(ErrorCode::kUnavailable, "service is shutting down")));
+      return future;
+    }
     request.id = ++next_ticket_;
     const std::uint64_t id = request.id;
     ServicePipeline::Admission admission =

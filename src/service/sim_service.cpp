@@ -4,8 +4,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
-#include <memory>
-#include <unordered_map>
+#include <optional>
 #include <utility>
 
 #include "mdtask/autoscale/metrics.h"
@@ -33,6 +32,16 @@ struct TenantTrack {
   std::uint64_t missed = 0;
   std::vector<double> latencies;
 };
+
+/// Share of `judged` requests whose latency met `target_s` (1 when
+/// nothing was judged).
+double attainment(const std::vector<double>& latencies, double target_s,
+                  std::uint64_t judged) {
+  if (judged == 0) return 1.0;
+  const auto within = std::count_if(latencies.begin(), latencies.end(),
+                                    [&](double l) { return l <= target_s; });
+  return static_cast<double>(within) / static_cast<double>(judged);
+}
 
 /// Engine-side trace process id of the DES replay.
 constexpr std::uint32_t kTracePid = 40;
@@ -111,18 +120,12 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
       if (track != nullptr) ++track->missed;
     }
   };
-  auto account_all = [&](const std::vector<Resolution>& resolved,
-                         double now) {
-    for (const Resolution& resolution : resolved) account(resolution, now);
-  };
 
   auto job_cost = [&config](const EngineJob& job) {
     const double mb =
         static_cast<double>(job.total_bytes()) / (1024.0 * 1024.0);
-    const double extra =
-        job.requests.empty()
-            ? 0.0
-            : static_cast<double>(job.requests.size() - 1);
+    // start_job never yields an empty job.
+    const double extra = static_cast<double>(job.requests.size() - 1);
     return config.service_base_s + config.service_per_mb_s * mb +
            config.per_request_overhead_s * extra;
   };
@@ -148,7 +151,7 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
     const auto resolved =
         pipeline.finish_job(*job, std::move(result), done, is_hedge);
     if (!resolved) return;
-    account_all(*resolved, done);
+    for (const Resolution& resolution : *resolved) account(resolution, done);
     log_line("t=" + fmt_time(done) + (ok ? " complete job=" : " fail job=") +
              std::to_string(job->job.job_id) + " requests=" +
              std::to_string(job->job.requests.size()));
@@ -196,7 +199,7 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
     const double now = simulation.now();
     std::vector<Resolution> expired;
     const JobPtr started = pipeline.start_job(std::move(job), now, &expired);
-    account_all(expired, now);
+    for (const Resolution& resolution : expired) account(resolution, now);
     if (started == nullptr) return;
     const EngineJob& run = started->job;
     report.batched_requests += run.requests.size();
@@ -249,30 +252,20 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
     while (pool.free_servers() > pipeline.open_batches()) {
       std::optional<ServicePipeline::Routed> routed = pipeline.route_next(now);
       if (!routed) break;
-      const auto c = static_cast<std::size_t>(routed->tenant_class);
+      ClassOutcome& out =
+          report.classes[static_cast<std::size_t>(routed->tenant_class)];
       using Kind = ServicePipeline::Routed::Kind;
-      switch (routed->kind) {
-        case Kind::kGone:
-          break;
-        case Kind::kHit:
-          ++report.classes[c].cache_hits;
-          account(*routed->resolution, now);
-          break;
-        case Kind::kJoined:
-          ++report.classes[c].dedup_joins;
-          break;
-        case Kind::kStale:
-          log_line("t=" + fmt_time(now) + " stale-serve id=" +
-                   std::to_string(routed->resolution->request.id));
-          account(*routed->resolution, now);
-          break;
-        case Kind::kBatched:
-          if (routed->job) {
-            dispatch(std::move(*routed->job));
-          } else {
-            arm_flush();
-          }
-          break;
+      if (routed->kind == Kind::kHit) ++out.cache_hits;
+      if (routed->kind == Kind::kJoined) ++out.dedup_joins;
+      if (routed->kind == Kind::kStale) {
+        log_line("t=" + fmt_time(now) + " stale-serve id=" +
+                 std::to_string(routed->resolution->request.id));
+      }
+      if (routed->resolution) account(*routed->resolution, now);
+      if (routed->job) {
+        dispatch(std::move(*routed->job));
+      } else if (routed->kind == Kind::kBatched) {
+        arm_flush();
       }
     }
   };
@@ -288,27 +281,25 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
       pipeline.observe_pressure(now);
       const ServicePipeline::Admission admission =
           pipeline.admit(request, now);
-      const std::string id = std::to_string(request.id);
-      switch (admission.verdict) {
-        case ServicePipeline::Verdict::kBrownoutShed:
-          ++report.classes[c].brownout_shed;
-          if (track != nullptr) ++track->missed;
-          log_line("t=" + fmt_time(now) + " brownout-shed id=" + id);
-          return;
-        case ServicePipeline::Verdict::kRejected:
-          ++report.classes[c].rejected;
-          if (track != nullptr) ++track->missed;
-          log_line("t=" + fmt_time(now) + " reject id=" + id + " class=" +
-                   to_string(request.tenant_class));
-          return;
-        case ServicePipeline::Verdict::kCircuitOpen:
-          ++report.classes[c].circuit_rejected;
-          if (track != nullptr) ++track->missed;
-          log_line("t=" + fmt_time(now) + " circuit-open id=" + id +
-                   " class=" + to_string(request.tenant_class));
-          return;
-        case ServicePipeline::Verdict::kAdmitted:
-          break;
+      using Verdict = ServicePipeline::Verdict;
+      if (admission.verdict != Verdict::kAdmitted) {
+        ClassOutcome& out = report.classes[c];
+        if (track != nullptr) ++track->missed;
+        const std::string at = "t=" + fmt_time(now);
+        const std::string id = " id=" + std::to_string(request.id);
+        const std::string of_class =
+            std::string(" class=") + to_string(request.tenant_class);
+        if (admission.verdict == Verdict::kBrownoutShed) {
+          ++out.brownout_shed;
+          log_line(at + " brownout-shed" + id);
+        } else if (admission.verdict == Verdict::kRejected) {
+          ++out.rejected;
+          log_line(at + " reject" + id + of_class);
+        } else {
+          ++out.circuit_rejected;
+          log_line(at + " circuit-open" + id + of_class);
+        }
+        return;
       }
       ++report.classes[c].admitted;
       if (admission.deadline_s > 0.0) {
@@ -371,17 +362,7 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
   report.horizon_s = simulation.run();
   report.final_servers = pool.servers();
   report.busy_time_s = pool.busy_time();
-  const ServiceStats stats = pipeline.stats();
-  report.engine_jobs = stats.engine_jobs;
-  report.deadline_expired = stats.deadline_expired;
-  report.circuit_rejected = stats.circuit_rejected;
-  report.brownout_shed = stats.brownout_shed;
-  report.stale_served = stats.stale_served;
-  report.retries = stats.retries;
-  report.hedges = stats.hedges;
-  report.hedge_wins = stats.hedge_wins;
-  report.chaos_failures = stats.chaos_failures;
-  report.chaos_delays = stats.chaos_delays;
+  report.stats = pipeline.stats();
 
   for (std::size_t c = 0; c < kTenantClasses; ++c) {
     ClassOutcome& out = report.classes[c];
@@ -390,18 +371,10 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
     out.p95_s = autoscale::duration_percentile(lat, 95.0);
     out.p99_s = autoscale::duration_percentile(lat, 99.0);
     for (const double l : lat) out.max_s = std::max(out.max_s, l);
-    std::uint64_t within = 0;
-    for (const double l : lat) {
-      if (l <= config.slo.latency_s[c]) ++within;
-    }
-    const std::uint64_t judged = out.completed + out.rejected +
-                                 out.deadline_expired +
-                                 out.circuit_rejected + out.brownout_shed +
-                                 out.failed;
-    out.slo_attainment =
-        judged == 0 ? 1.0
-                    : static_cast<double>(within) /
-                          static_cast<double>(judged);
+    out.slo_attainment = attainment(
+        lat, config.slo.latency_s[c],
+        out.completed + out.rejected + out.deadline_expired +
+            out.circuit_rejected + out.brownout_shed + out.failed);
     report.admitted += out.admitted;
     report.rejected += out.rejected;
     report.completed += out.completed;
@@ -437,17 +410,10 @@ ServiceSimReport simulate_service(const ServiceSimConfig& config) {
       out.p50_s = autoscale::duration_percentile(lat, 50.0);
       out.p95_s = autoscale::duration_percentile(lat, 95.0);
       out.p99_s = autoscale::duration_percentile(lat, 99.0);
-      const double target = config.slo.latency_s[static_cast<std::size_t>(
-          track->tenant_class)];
-      std::uint64_t within = 0;
-      for (const double l : track->latencies) {
-        if (l <= target) ++within;
-      }
-      const std::uint64_t judged = track->completed + track->missed;
-      out.slo_attainment =
-          judged == 0 ? 1.0
-                      : static_cast<double>(within) /
-                            static_cast<double>(judged);
+      out.slo_attainment = attainment(
+          track->latencies,
+          config.slo.latency_s[static_cast<std::size_t>(track->tenant_class)],
+          track->completed + track->missed);
       report.tenants.push_back(out);
     }
   }

@@ -91,27 +91,41 @@ TEST(ServicePipelineTest, FirstCompletionWinsAndResolvesJoiners) {
   config.batch.enabled = false;
   config.reliability.retry.enabled = true;
   config.reliability.retry.policy.max_attempts = 2;
+  config.reliability.hedge.enabled = true;
+  config.reliability.hedge.min_samples = 1;
   ServicePipeline pipeline(config);
-  ASSERT_EQ(pipeline.admit(make_request(1, "1", 0.0), 0.0).verdict,
-            ServicePipeline::Verdict::kAdmitted);
-  ASSERT_EQ(pipeline.admit(make_request(2, "1", 0.0), 0.0).verdict,
-            ServicePipeline::Verdict::kAdmitted);
-  auto owner = pipeline.route_next(0.0);
-  ASSERT_TRUE(owner.has_value() && owner->job.has_value());
-  ASSERT_EQ(pipeline.route_next(0.0)->kind,
-            ServicePipeline::Routed::Kind::kJoined);
   std::vector<Resolution> expired;
-  const JobPtr job = pipeline.start_job(std::move(*owner->job), 0.0, &expired);
+  /// Admits, routes and starts request `id` (batching is off).
+  auto start = [&](std::uint64_t id, const char* stride, double now) {
+    EXPECT_EQ(pipeline.admit(make_request(id, stride, 0.0), now).verdict,
+              ServicePipeline::Verdict::kAdmitted);
+    auto routed = pipeline.route_next(now);
+    EXPECT_TRUE(routed.has_value() && routed->job.has_value());
+    return pipeline.start_job(std::move(*routed->job), now, &expired);
+  };
+  // One 100 ms job seeds the latency window: later jobs hedge at 2 x p95.
+  const JobPtr warmup = start(1, "0", 0.0);
+  std::vector<ResultPayload> one{ResultPayload{{1.0}, 0}};
+  ASSERT_TRUE(
+      pipeline.finish_job(*warmup, std::move(one), 0.1, false).has_value());
+  const JobPtr job = start(2, "1", 0.1);
   ASSERT_NE(job, nullptr);
+  EXPECT_DOUBLE_EQ(job->hedge_at_s, 0.1 + 2.0 * 0.1);
+  // Same key: the next request joins the running job.
+  ASSERT_EQ(pipeline.admit(make_request(3, "1", 0.0), 0.1).verdict,
+            ServicePipeline::Verdict::kAdmitted);
+  ASSERT_EQ(pipeline.route_next(0.1)->kind,
+            ServicePipeline::Routed::Kind::kJoined);
 
   // A failed attempt with budget left retries; the hedge wins first.
-  const auto end = pipeline.end_attempt(*job, 0, false, {}, false, 0.1);
+  const auto end = pipeline.end_attempt(*job, 0, false, {}, false, 0.2);
   EXPECT_TRUE(end.retry);
   EXPECT_FALSE(end.event.has_value());  // not a chaos failure
-  ASSERT_TRUE(pipeline.launch_hedge(*job));
+  EXPECT_TRUE(pipeline.timer_step(0.2).hedges.empty());
+  ASSERT_EQ(pipeline.timer_step(0.31).hedges.size(), 1u);
   EXPECT_FALSE(pipeline.launch_hedge(*job));  // one hedge per job
   const auto won = pipeline.finish_job(
-      *job, std::vector<ResultPayload>{ResultPayload{{42.0}, 0}}, 0.2,
+      *job, std::vector<ResultPayload>{ResultPayload{{42.0}, 0}}, 0.4,
       /*is_hedge=*/true);
   ASSERT_TRUE(won.has_value());
   ASSERT_EQ(won->size(), 2u);  // owner and joiner
@@ -120,17 +134,18 @@ TEST(ServicePipelineTest, FirstCompletionWinsAndResolvesJoiners) {
     EXPECT_DOUBLE_EQ(resolution.result.value()->values.at(0), 42.0);
   }
   // The primary's late retry stops, and its result is dropped.
-  EXPECT_FALSE(pipeline.begin_attempt(*job, 1, false, 0.3).run);
-  EXPECT_FALSE(pipeline.begin_attempt(*job, 1, false, 0.3).failure);
+  EXPECT_FALSE(pipeline.begin_attempt(*job, 1, false, 0.5).run);
+  EXPECT_FALSE(pipeline.begin_attempt(*job, 1, false, 0.5).failure);
   EXPECT_FALSE(pipeline.finish_job(*job, Error(ErrorCode::kIoError, "late"),
-                                   0.3, false)
+                                   0.5, false)
                    .has_value());
   const ServiceStats stats = pipeline.stats();
-  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.completed, 3u);
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.hedges, 1u);
   EXPECT_EQ(stats.hedge_wins, 1u);
   EXPECT_EQ(pipeline.outstanding(), 0u);
+  EXPECT_TRUE(expired.empty());
 }
 
 }  // namespace

@@ -453,7 +453,13 @@ TrafficConfig chaos_traffic() {
   return traffic;
 }
 
-std::vector<std::string> live_chaos_log(const ServiceConfig& config) {
+struct LiveChaosRun {
+  std::vector<std::string> log;  ///< canonical RecoveryLog
+  AnalysisService::Stats stats;
+  std::uint64_t ok = 0;  ///< futures that resolved with a payload
+};
+
+LiveChaosRun live_chaos_run(const ServiceConfig& config) {
   fault::RecoveryLog log;
   ThreadPool pool(4);
   AnalysisService service(config, pool, echo_executor);
@@ -462,33 +468,44 @@ std::vector<std::string> live_chaos_log(const ServiceConfig& config) {
   for (const TrafficEvent& event : generate_traffic(chaos_traffic())) {
     futures.push_back(service.submit(event.request));
   }
-  for (auto& future : futures) (void)future.get();
+  LiveChaosRun run;
+  for (auto& future : futures) {
+    if (future.get().ok()) ++run.ok;
+  }
   service.drain();
-  return log.canonical();
+  run.log = log.canonical();
+  run.stats = service.stats();
+  return run;
 }
 
 TEST(ChaosDeterminismTest, LiveRunsAreByteIdenticalPerSeed) {
   const ServiceConfig config = chaos_determinism_config();
-  const std::vector<std::string> first = live_chaos_log(config);
-  const std::vector<std::string> second = live_chaos_log(config);
+  const std::vector<std::string> first = live_chaos_run(config).log;
+  const std::vector<std::string> second = live_chaos_run(config).log;
   ASSERT_FALSE(first.empty());  // the chaos rates really fired
   EXPECT_EQ(first, second);
 }
 
 TEST(ChaosDeterminismTest, LiveAndDesAgreeByteForByte) {
   const ServiceConfig config = chaos_determinism_config();
-  const std::vector<std::string> live = live_chaos_log(config);
+  const LiveChaosRun live = live_chaos_run(config);
 
   fault::RecoveryLog des_log;
   ServiceSimConfig sim;
   sim.traffic = chaos_traffic();
   sim.service = config;
   sim.recovery_log = &des_log;
-  (void)simulate_service(sim);
-  const std::vector<std::string> des = des_log.canonical();
+  const ServiceSimReport des = simulate_service(sim);
 
-  ASSERT_FALSE(live.empty());
-  EXPECT_EQ(live, des);
+  ASSERT_FALSE(live.log.empty());
+  EXPECT_EQ(live.log, des_log.canonical());
+  // Both drivers count through the one pipeline counter set.
+  EXPECT_EQ(live.stats.engine_jobs, des.stats.engine_jobs);
+  EXPECT_EQ(live.stats.completed, des.stats.completed);
+  EXPECT_EQ(live.ok, des.completed);  // the DES counts successes apart
+  EXPECT_EQ(live.stats.retries, des.stats.retries);
+  EXPECT_EQ(live.stats.chaos_failures, des.stats.chaos_failures);
+  EXPECT_GT(des.stats.retries, 0u);
 }
 
 }  // namespace

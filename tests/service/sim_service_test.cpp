@@ -29,7 +29,7 @@ TEST(SimServiceTest, ReportCountsAreConsistent) {
   EXPECT_EQ(report.completed, report.admitted);
   EXPECT_GE(report.horizon_s, 0.0);
   EXPECT_GT(report.busy_time_s, 0.0);
-  EXPECT_GT(report.engine_jobs, 0u);
+  EXPECT_GT(report.stats.engine_jobs, 0u);
   // Cache hits and joins never reach the engine.
   EXPECT_EQ(report.batched_requests + report.cache_hits + report.dedup_joins,
             report.completed);
@@ -63,7 +63,7 @@ TEST(SimServiceTest, SameSeedIsByteIdentical) {
   for (std::size_t i = 0; i < a.log.size(); ++i) {
     EXPECT_EQ(a.log[i], b.log[i]) << "log line " << i;
   }
-  EXPECT_EQ(a.engine_jobs, b.engine_jobs);
+  EXPECT_EQ(a.stats.engine_jobs, b.stats.engine_jobs);
   EXPECT_EQ(a.completed, b.completed);
   // The mirrored traces are byte-identical too.
   EXPECT_EQ(trace::to_chrome_json(tracer_a), trace::to_chrome_json(tracer_b));
@@ -87,7 +87,7 @@ TEST(SimServiceTest, CacheOnUsesStrictlyFewerEngineJobs) {
   const ServiceSimReport uncached = simulate_service(config);
 
   EXPECT_GT(cached.cache_hits + cached.dedup_joins, 0u);
-  EXPECT_LT(cached.engine_jobs, uncached.engine_jobs);
+  EXPECT_LT(cached.stats.engine_jobs, uncached.stats.engine_jobs);
   // Same demand either way.
   EXPECT_EQ(cached.requests, uncached.requests);
 }
@@ -177,7 +177,7 @@ TEST(SimServiceTest, BatchingReducesEngineJobs) {
   const ServiceSimReport batched = simulate_service(config);
   config.service.batch.enabled = false;
   const ServiceSimReport unbatched = simulate_service(config);
-  EXPECT_LT(batched.engine_jobs, unbatched.engine_jobs);
+  EXPECT_LT(batched.stats.engine_jobs, unbatched.stats.engine_jobs);
   EXPECT_EQ(batched.completed, unbatched.completed);
 }
 
@@ -219,8 +219,8 @@ TEST(SimServiceReliabilityTest, ChaosRunsAreByteIdenticalPerSeed) {
   for (std::size_t i = 0; i < a.log.size(); ++i) {
     ASSERT_EQ(a.log[i], b.log[i]) << "log line " << i;
   }
-  EXPECT_GT(a.chaos_failures, 0u);
-  EXPECT_GT(a.retries, 0u);
+  EXPECT_GT(a.stats.chaos_failures, 0u);
+  EXPECT_GT(a.stats.retries, 0u);
   ASSERT_GT(log_a.size(), 0u);
   EXPECT_EQ(log_a.canonical(), log_b.canonical());
 }
@@ -302,7 +302,7 @@ TEST(SimServiceReliabilityTest, NoEngineFailureWithoutChaos) {
   config.service.batch.max_delay_s = 2.0;
   config.service.batch.max_batch = 64;
   const ServiceSimReport report = simulate_service(config);
-  ASSERT_GT(report.deadline_expired, 0u);
+  ASSERT_GT(report.stats.deadline_expired, 0u);
   for (const ClassOutcome& out : report.classes) {
     EXPECT_EQ(out.failed, 0u);
   }
