@@ -71,7 +71,7 @@ struct Resolution {
 };
 
 /// One dispatched engine job, shared by its primary and hedge runners.
-/// Only `job` and `chaos_id` may be read outside pipeline steps.
+/// Every field but `resolved` is fixed once start_job returns.
 struct PipelineJob {
   EngineJob job;
   std::uint64_t chaos_id = 0;  ///< chaos identity (chaos_job_id)
